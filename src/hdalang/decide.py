@@ -10,11 +10,10 @@ enumeration (single ipomsets) or the determinised complement automaton
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from typing import Iterable
 
 from . import stauto
-from .hda import HDA, _segment_relation, face, skeleton, product
+from .hda import HDA, _segment_relation, face, product, reachable, skeleton
 from .ipomset import (Ipomset, WidthExceeded, compose, glue, identity_step,
                       starter, subsumes, supersumptions, terminator)
 from .stauto import complement_words, coherent_word, emptiness, inclusion, st_of_hda
@@ -129,23 +128,6 @@ def prefix_quotient(x: HDA, p: Ipomset) -> HDA:
     return HDA(x.cells.values(), targets, x.accept, x.alphabet)
 
 
-def _co_reachable(x: HDA) -> frozenset[str]:
-    pred: dict[str, set[str]] = {cid: set() for cid in x.cells}
-    for c in x.cells.values():
-        for i in range(c.dim):
-            pred[c.id].add(c.lower[i])
-            pred[c.upper[i]].add(c.id)
-    seen = set(x.accept)
-    queue = deque(seen)
-    while queue:
-        cur = queue.popleft()
-        for nxt in pred[cur]:
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return frozenset(seen)
-
-
 def is_deterministic_language(x: HDA) -> tuple[bool, tuple[Ipomset, Ipomset] | None]:
     """Whether the language is deterministic: any two comparable prefixes
     of the language leave the same quotient.
@@ -156,7 +138,7 @@ def is_deterministic_language(x: HDA) -> tuple[bool, tuple[Ipomset, Ipomset] | N
     one is the witness, so the witness is the canonically largest.
     """
     pre = pre_set(x)
-    co = _co_reachable(x)
+    co = reachable(x, x.accept, backward=True)
     items = sorted(pre.items(), key=lambda kv: kv[0].key(), reverse=True)
 
     def invariant(p: Ipomset) -> tuple:

@@ -65,11 +65,15 @@ class HDA:
 
     ``cells`` maps ids to Cell records; ``start`` and ``accept`` are cell
     id sets.  Construction validates the precubical structure and raises
-    InvalidHDA listing every violation.  Treat instances as immutable.
+    InvalidHDA listing every violation.
+
+    Instances must not be mutated: derived tables are cached on them,
+    among them the compiled ST-automaton that ``stauto.st_of_hda``
+    builds on its first call and returns on every later one.
     """
 
     __slots__ = ("alphabet", "cells", "start", "accept",
-                 "_by_conclist", "_step_graph")
+                 "_by_conclist", "_step_graph", "_st")
 
     def __init__(self, cells: Iterable[Cell], start: Iterable[str],
                  accept: Iterable[str], alphabet: Iterable[str] = ()):
@@ -90,6 +94,7 @@ class HDA:
             raise InvalidHDA(problems)
         self._by_conclist: dict[tuple[str, ...], tuple[str, ...]] | None = None
         self._step_graph = None
+        self._st = None  # set by stauto.st_of_hda
 
     # -- validation ---------------------------------------------------------
 
@@ -209,16 +214,31 @@ def hda_to_dict(hda: HDA) -> dict:
 
 
 def hda_from_dict(data: dict) -> HDA:
+    """Load the ``.hda`` layout.  ``events``, ``d0``, ``d1``, ``start``,
+    ``accept`` and ``alphabet`` must be lists of strings; any that is not
+    is reported as a FieldType problem of InvalidHDA."""
+    problems: list[Problem] = []
+
+    def strings(value, field: str) -> tuple[str, ...]:
+        if (isinstance(value, (list, tuple))
+                and all(isinstance(v, str) for v in value)):
+            return tuple(value)
+        problems.append(Problem("FieldType", (field,), f"{field} must be "
+                                f"a list of strings, got {value!r}"))
+        return ()
+
     try:
-        cells = [Cell(str(c["id"]), tuple(str(e) for e in c["events"]),
-                      tuple(str(f) for f in c["d0"]),
-                      tuple(str(f) for f in c["d1"]))
+        cells = [Cell(str(c["id"]), strings(c["events"], f"events of {c['id']!r}"),
+                      strings(c["d0"], f"d0 of {c['id']!r}"),
+                      strings(c["d1"], f"d1 of {c['id']!r}"))
                  for c in data["cells"]]
-        start = [str(s) for s in data["start"]]
-        accept = [str(s) for s in data["accept"]]
-        alphabet = [str(a) for a in data.get("alphabet", [])]
+        start = strings(data["start"], "start")
+        accept = strings(data["accept"], "accept")
+        alphabet = strings(data.get("alphabet", []), "alphabet")
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed automaton data: {exc}") from None
+    if problems:
+        raise InvalidHDA(problems)
     return HDA(cells, start, accept, alphabet)
 
 
@@ -343,29 +363,32 @@ def path_accepts(hda: HDA, path: Path) -> bool:
 # --------------------------------------------------------------------------
 # reachability and determinism
 
+def reachable(hda: HDA, seeds: Iterable[str],
+              backward: bool = False) -> frozenset[str]:
+    """The cells some path from a seed reaches; with ``backward``, the
+    cells from which some path reaches a seed.  Seeds are included."""
+    succ: dict[str, set[str]] = {cid: set() for cid in hda.cells}
+    for c in hda.cells.values():
+        for lo, up in zip(c.lower, c.upper):
+            if backward:
+                succ[c.id].add(lo)
+                succ[up].add(c.id)
+            else:
+                succ[lo].add(c.id)   # up move
+                succ[c.id].add(up)   # down move
+    seen = set(seeds)
+    todo = list(seen)
+    while todo:
+        for y in succ[todo.pop()]:
+            if y not in seen:
+                seen.add(y)
+                todo.append(y)
+    return frozenset(seen)
+
+
 def essential_cells(hda: HDA) -> frozenset[str]:
     """Cells on some path from a start cell to an accept cell."""
-    fwd: dict[str, set[str]] = {cid: set() for cid in hda.cells}
-    bwd: dict[str, set[str]] = {cid: set() for cid in hda.cells}
-    for c in hda.cells.values():
-        for i in range(c.dim):
-            fwd[c.lower[i]].add(c.id)   # up move
-            fwd[c.id].add(c.upper[i])   # down move
-            bwd[c.id].add(c.lower[i])
-            bwd[c.upper[i]].add(c.id)
-
-    def closure(seed: Iterable[str], succ: dict[str, set[str]]) -> set[str]:
-        seen = set(seed)
-        queue = deque(seen)
-        while queue:
-            x = queue.popleft()
-            for y in succ[x]:
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        return seen
-
-    return frozenset(closure(hda.start, fwd) & closure(hda.accept, bwd))
+    return reachable(hda, hda.start) & reachable(hda, hda.accept, backward=True)
 
 
 def is_deterministic_hda(hda: HDA) -> tuple[bool, str | None]:

@@ -246,9 +246,6 @@ class Ipomset:
         return max(len(conclist) for _, conclist, _ in self.key())
 
 
-EMPTY = None  # set after Step machinery below (needs sparse_decomposition)
-
-
 # --------------------------------------------------------------------------
 # steps and step words
 

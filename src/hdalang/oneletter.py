@@ -9,11 +9,10 @@ an HDA.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
-from .hda import HDA, Cell, face, is_deterministic_hda
+from .hda import HDA, Cell, face, is_deterministic_hda, reachable
 from .ipomset import ParseError, Problem
 
 
@@ -209,19 +208,7 @@ def analyze(hda: HDA) -> UPFunction:
             "MultipleStartCells",
             f"start cell {v0!r} has dimension {hda.cells[v0].dim}, not 0")
 
-    fwd: dict[str, set[str]] = {cid: set() for cid in hda.cells}
-    for c in hda.cells.values():
-        for i in range(c.dim):
-            fwd[c.lower[i]].add(c.id)
-            fwd[c.id].add(c.upper[i])
-    seen = {v0}
-    queue = deque([v0])
-    while queue:
-        cur = queue.popleft()
-        for nxt in fwd[cur]:
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
+    seen = reachable(hda, [v0])
     missing = sorted(set(hda.cells) - seen)
     if missing:
         raise NotUPRepresentable(

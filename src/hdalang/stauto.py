@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, Sequence
 from .ipomset import (Ipomset, Problem, Step, StepWord, compose,
                       identity_ipomset, identity_step, sparse_decomposition,
                       starter, terminator, _insertions)
-from .hda import HDA, face
+from .hda import HDA
 
 
 class InvalidSTAutomaton(ValueError):
@@ -32,12 +32,17 @@ class STAutomaton:
     ``states`` maps state ids to conclists, ``transitions`` is a set of
     (source id, step, target id) triples, ``width_bound`` records the
     largest conclist the automaton is meant to range over (None leaves it
-    unspecified).  Instances are validated on construction and should be
-    treated as immutable.
+    unspecified).  ``successors`` indexes the transitions once, as
+    ``state -> {step: targets}`` with each state's steps in ``Step.key()``
+    order and the targets sorted; every run below steps through it.
+
+    Instances are validated on construction and must not be mutated: the
+    index is built from the transitions only then, and ``st_of_hda``
+    caches its automaton on the HDA and hands it to every later caller.
     """
 
     __slots__ = ("alphabet", "states", "transitions", "initial", "final",
-                 "width_bound", "_from")
+                 "width_bound", "successors")
 
     def __init__(self, alphabet: Iterable[str],
                  states: dict[str, Sequence[str]],
@@ -50,67 +55,97 @@ class STAutomaton:
         self.initial = frozenset(initial)
         self.final = frozenset(final)
         self.width_bound = width_bound
-        problems = self._validate()
+        self.successors = self._index()
+
+    def _index(self) -> dict[str, dict[Step, tuple[str, ...]]]:
+        """Check every transition in one unsorted pass and build the index.
+        Problems are sorted into their report order only when there are
+        any: transitions by (source, target, step key)."""
+        states = self.states
+        problems = []
+        for name, ids in (("initial", self.initial), ("final", self.final)):
+            for sid in sorted(ids - states.keys()):
+                problems.append(Problem("DanglingReference", (sid,),
+                                        f"{name} state {sid!r} does not exist"))
+        for lab in sorted({l for cl in states.values() for l in cl}
+                          - self.alphabet):
+            problems.append(Problem(
+                "DanglingReference", (lab,),
+                f"state label {lab!r} is not in the alphabet"))
+        by_step: dict[Step, list[tuple[str, str]]] = {}
+        for q, s, r in self.transitions:
+            by_step.setdefault(s, []).append((q, r))
+        found = []
+        for s, pairs in by_step.items():
+            src, tgt = s.source_conclist(), s.target_conclist()
+            for q, r in pairs:
+                if q not in states or r not in states:
+                    found.append(((q, r, s.key(), 0), Problem(
+                        "DanglingReference", (q, r),
+                        f"transition endpoint missing: {q!r}->{r!r}")))
+                elif s.kind == "identity":
+                    found.append(((q, r, s.key(), 0), Problem(
+                        "IdentityTransition", (q, r),
+                        "identity steps are implicit and may not "
+                        "be stored as transitions")))
+                else:
+                    if src != states[q]:
+                        found.append(((q, r, s.key(), 0), Problem(
+                            "StateLabelMismatch", (q,),
+                            f"step out of {q!r} starts from {src}, "
+                            f"but the state is labelled {states[q]}")))
+                    if tgt != states[r]:
+                        found.append(((q, r, s.key(), 1), Problem(
+                            "StateLabelMismatch", (r,),
+                            f"step into {r!r} ends in {tgt}, "
+                            f"but the state is labelled {states[r]}")))
+        problems += [p for _, p in sorted(found, key=lambda f: f[0])]
         if problems:
             raise InvalidSTAutomaton(problems)
-        self._from: dict[str, tuple[tuple[Step, str], ...]] | None = None
-
-    def _validate(self) -> list[Problem]:
-        out = []
-        for name, ids in (("initial", self.initial), ("final", self.final)):
-            for sid in sorted(ids - set(self.states)):
-                out.append(Problem("DanglingReference", (sid,),
-                                   f"{name} state {sid!r} does not exist"))
-        for lab in sorted({l for cl in self.states.values() for l in cl}
-                          - self.alphabet):
-            out.append(Problem("DanglingReference", (lab,),
-                               f"state label {lab!r} is not in the alphabet"))
-        for q, s, r in sorted(self.transitions,
-                              key=lambda t: (t[0], t[2], t[1].key())):
-            if q not in self.states or r not in self.states:
-                out.append(Problem("DanglingReference", (q, r),
-                                   f"transition endpoint missing: {q!r}->{r!r}"))
-                continue
-            if s.kind == "identity":
-                out.append(Problem("IdentityTransition", (q, r),
-                                   "identity steps are implicit and may not "
-                                   "be stored as transitions"))
-                continue
-            if s.source_conclist() != self.states[q]:
-                out.append(Problem(
-                    "StateLabelMismatch", (q,),
-                    f"step out of {q!r} starts from {s.source_conclist()}, "
-                    f"but the state is labelled {self.states[q]}"))
-            if s.target_conclist() != self.states[r]:
-                out.append(Problem(
-                    "StateLabelMismatch", (r,),
-                    f"step into {r!r} ends in {s.target_conclist()}, "
-                    f"but the state is labelled {self.states[r]}"))
-        return out
-
-    def transitions_from(self, q: str) -> tuple[tuple[Step, str], ...]:
-        if self._from is None:
-            index: dict[str, list[tuple[Step, str]]] = {
-                sid: [] for sid in self.states}
-            for a, s, b in sorted(self.transitions,
-                                  key=lambda t: (t[0], t[1].key(), t[2])):
-                index[a].append((s, b))
-            self._from = {k: tuple(v) for k, v in index.items()}
-        return self._from[q]
+        index: dict[str, dict[Step, tuple[str, ...]]] = {q: {} for q in states}
+        for s in sorted(by_step, key=Step.key):
+            for q, r in sorted(by_step[s]):
+                row = index[q]
+                row[s] = row.get(s, ()) + (r,)
+        return index
 
 
 def st_of_hda(hda: HDA) -> STAutomaton:
     """The ST-automaton with one state per cell: starters climb to a cell
-    from its lower faces, terminators drop to its upper faces."""
-    states = {cid: c.events for cid, c in hda.cells.items()}
+    from its lower faces, terminators drop to its upper faces.
+
+    It is compiled on the first call and cached on the HDA, so later calls
+    return the same automaton.  Equal steps are one shared Step object.
+    """
+    if hda._st is None:
+        hda._st = _compile(hda)
+    return hda._st
+
+
+def _compile(hda: HDA) -> STAutomaton:
+    cells = hda.cells
+    interned: dict[tuple, Step] = {}
+
+    def step(make, events: tuple[str, ...], marked: tuple[int, ...]) -> Step:
+        key = (make, events, marked)
+        s = interned.get(key)
+        if s is None:
+            s = interned[key] = make(events, marked)
+        return s
+
     transitions = []
-    for y in hda.cells.values():
+    for y in cells.values():
+        # composite faces by marked positions: removing the smallest
+        # position last, face(a) is the face at a[0] of face(a[1:])
+        lower = {(): y.id}
+        upper = {(): y.id}
         for r in range(1, y.dim + 1):
             for a in itertools.combinations(range(y.dim), r):
-                transitions.append(
-                    (face(hda, y.id, 0, a), starter(y.events, a), y.id))
-                transitions.append(
-                    (y.id, terminator(y.events, a), face(hda, y.id, 1, a)))
+                x = lower[a] = cells[lower[a[1:]]].lower[a[0]]
+                z = upper[a] = cells[upper[a[1:]]].upper[a[0]]
+                transitions.append((x, step(starter, y.events, a), y.id))
+                transitions.append((y.id, step(terminator, y.events, a), z))
+    states = {cid: c.events for cid, c in cells.items()}
     return STAutomaton(hda.alphabet, states, transitions,
                        hda.start, hda.accept, width_bound=hda.dim())
 
@@ -153,9 +188,8 @@ def _nfa_step(a: STAutomaton, nodes: Iterable[tuple[str, str]],
             if letter.kind == "identity" and letter.conclist == a.states[q]:
                 out.add(("out", q))
         else:
-            for s, r in a.transitions_from(q):
-                if s == letter:
-                    out.add(("in", r))
+            for r in a.successors[q].get(letter, ()):
+                out.add(("in", r))
     return frozenset(out)
 
 
@@ -164,11 +198,7 @@ def _letters_from(a: STAutomaton, node: tuple[str, str]) -> Iterator[Step]:
     if side == "in":
         yield identity_step(a.states[q])
     else:
-        seen = set()
-        for s, _ in a.transitions_from(q):
-            if s.key() not in seen:
-                seen.add(s.key())
-                yield s
+        yield from a.successors[q]
 
 
 def accepts_word(a: STAutomaton, word: Sequence[Step]) -> bool:
@@ -315,9 +345,7 @@ def complement_words(a: STAutomaton, width: int | None = None) -> STAutomaton:
         # identity of the target conclist (always available).
         out = set()
         for q in dset:
-            for s, r in a.transitions_from(q):
-                if s == letter:
-                    out.add(r)
+            out.update(a.successors[q].get(letter, ()))
         return frozenset(out)
 
     def state_id(cl: tuple[str, ...], dset: frozenset[str]) -> str:

@@ -1,0 +1,86 @@
+"""Field types in the .hda loader, and the reachability helper."""
+import json
+
+import pytest
+
+from hdalang import HDA, Cell, InvalidHDA, essential_cells, hda_from_dict, hda_to_dict
+from hdalang.cli import main
+from hdalang.hda import reachable
+
+from fixtures import filled_square
+
+
+def square_data():
+    return hda_to_dict(filled_square())
+
+
+@pytest.mark.parametrize("field", ["events", "d0", "d1"])
+@pytest.mark.parametrize("bad", ["a", "v", 5, None, {"a": 1}, ["a", 1]])
+def test_cell_fields_must_be_lists_of_strings(field, bad):
+    data = square_data()
+    edge = next(c for c in data["cells"] if c["id"] == "e")
+    edge[field] = bad
+    with pytest.raises(InvalidHDA) as exc:
+        hda_from_dict(data)
+    assert [(p.code, p.subjects) for p in exc.value.problems] == [
+        ("FieldType", (f"{field} of 'e'",))]
+
+
+@pytest.mark.parametrize("field", ["start", "accept", "alphabet"])
+@pytest.mark.parametrize("bad", ["v", "ab", 3, None, [1], ["v", ["w"]]])
+def test_top_level_fields_must_be_lists_of_strings(field, bad):
+    data = square_data()
+    data[field] = bad
+    with pytest.raises(InvalidHDA) as exc:
+        hda_from_dict(data)
+    assert [(p.code, p.subjects) for p in exc.value.problems] == [
+        ("FieldType", (field,))]
+
+
+def test_every_bad_field_is_reported():
+    data = square_data()
+    data["start"] = "v1"
+    data["cells"][0]["events"] = "a"
+    with pytest.raises(InvalidHDA) as exc:
+        hda_from_dict(data)
+    assert len(exc.value.problems) == 2
+    assert all(p.code == "FieldType" for p in exc.value.problems)
+
+
+def test_alphabet_stays_optional_and_tuples_load():
+    data = square_data()
+    del data["alphabet"]
+    data["start"] = ("v", "g")
+    x = hda_from_dict(data)
+    assert x.start == {"v", "g"} and x.alphabet == {"a", "b"}
+
+
+def run(capsys, *argv):
+    code = main(list(argv))
+    out = capsys.readouterr().out
+    return code, dict(line.split("=", 1) for line in out.strip().splitlines())
+
+
+def test_cli_reports_field_type_as_bad_input(capsys, tmp_path):
+    data = square_data()
+    data["start"] = "v1"
+    bad = tmp_path / "bad.hda"
+    bad.write_text(json.dumps(data))
+    code, record = run(capsys, "member", str(bad), "[a+][a-]")
+    assert code == 2 and record["status"] == "error"
+    assert "FieldType" in record["detail"]
+    code, record = run(capsys, "validate", str(bad))
+    assert code == 1 and record["status"] == "false"
+    assert "FieldType" in record["detail"]
+
+
+def test_reachable_follows_moves_forward_and_backward():
+    x = HDA([Cell("v0", (), (), ()), Cell("v1", (), (), ()),
+             Cell("w", (), (), ()),
+             Cell("e", ("a",), ("v0",), ("v1",)),
+             Cell("f", ("b",), ("w",), ("v1",))], ["v0"], ["v1"])
+    assert reachable(x, ["v0"]) == {"v0", "e", "v1"}
+    assert reachable(x, ["v1"], backward=True) == set(x.cells)
+    assert reachable(x, ["w"]) == {"w", "f", "v1"}
+    assert reachable(x, []) == frozenset()
+    assert essential_cells(x) == {"v0", "e", "v1"}
