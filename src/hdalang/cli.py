@@ -5,6 +5,8 @@ object with the same keys in json mode.  The first key is always
 ``status`` ("true", "false", or "error"); answers may add ``witness``,
 ``detail``, ``count``, ``i``, ``j``, ``members``, or ``up``.  Exit code 0
 means a true answer or successful write, 1 a false answer, 2 bad input.
+Counts (``-k``, ``-m``, ``-r``) must be non-negative integers; argparse
+rejects any other value with exit code 2.
 """
 from __future__ import annotations
 
@@ -171,6 +173,14 @@ def _cmd_oneletter_build(args) -> tuple[dict, int]:
     return {"status": "true", "detail": f"{len(hda.cells)} cells"}, 0
 
 
+def _non_negative(text: str) -> int:
+    """The type of the width, cut and repeat options."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hdalang",
@@ -213,13 +223,13 @@ def build_parser() -> argparse.ArgumentParser:
             "is the ipomset in the width-bounded complement?")
     p.add_argument("automaton")
     p.add_argument("ipomset")
-    p.add_argument("-k", "--width", type=int, default=None,
+    p.add_argument("-k", "--width", type=_non_negative, default=None,
                    help="width bound (default: the automaton's dimension)")
 
     p = add("complement-empty", _cmd_complement_empty,
             "is the width-bounded complement empty?")
     p.add_argument("automaton")
-    p.add_argument("-k", "--width", type=int, default=None,
+    p.add_argument("-k", "--width", type=_non_negative, default=None,
                    help="width bound (default: the automaton's dimension)")
 
     p = add("deterministic", _cmd_deterministic,
@@ -238,9 +248,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("pump", _cmd_pump, "pump a long accepted ipomset")
     p.add_argument("automaton")
     p.add_argument("ipomset")
-    p.add_argument("-m", "--cut", type=int, default=0,
+    p.add_argument("-m", "--cut", type=_non_negative, default=0,
                    help="leftmost segment the loop may start at")
-    p.add_argument("-r", "--repeat", type=int, default=2,
+    p.add_argument("-r", "--repeat", type=_non_negative, default=2,
                    help="largest repetition count to emit")
 
     p = add("st-export", _cmd_st_export,
@@ -250,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("skeleton", _cmd_skeleton, "restrict to cells of bounded dimension")
     p.add_argument("automaton")
-    p.add_argument("-k", "--width", type=int, required=True)
+    p.add_argument("-k", "--width", type=_non_negative, required=True)
     p.add_argument("-o", "--output", required=True)
 
     p = sub.add_parser("oneletter", help="ultimately periodic descriptions")

@@ -9,13 +9,14 @@ enumeration (single ipomsets) or the determinised complement automaton
 """
 from __future__ import annotations
 
-import itertools
 from typing import Iterable
 
 from . import stauto
-from .hda import HDA, _segment_relation, face, product, reachable, skeleton
-from .ipomset import (Ipomset, WidthExceeded, compose, glue, identity_step,
-                      starter, subsumes, supersumptions, terminator)
+from .hda import (HDA, _segment_relation, composite_faces, product, reachable,
+                  skeleton)
+from .ipomset import (Ipomset, WidthExceeded, compose, identity_step,
+                      sparse_decomposition, starter, subsumes, supersumptions,
+                      terminator)
 from .stauto import complement_words, coherent_word, emptiness, inclusion, st_of_hda
 from .text import print_ipomset
 
@@ -102,15 +103,13 @@ def pre_set(x: HDA) -> dict[Ipomset, frozenset[str]]:
         moves = [(starter(x.cells[y].events, a), y)
                  for a, y in up[cell] if y not in visited]
         c = x.cells[cell]
-        for r in range(1, c.dim + 1):
-            for b in itertools.combinations(range(c.dim), r):
-                y = face(x, cell, 1, b)
-                if y not in visited:
-                    moves.append((terminator(c.events, b), y))
+        moves += [(terminator(c.events, b), y)
+                  for b, _, y in composite_faces(x, c) if y not in visited]
+        word = sparse_decomposition(prefix).steps
         for step, y in moves:
             # move orders that realise the same prefix are interchangeable,
             # so exploring one (cell, visited, prefix) triple is enough
-            state = (y, visited | {y}, glue(prefix, step.as_ipomset()))
+            state = (y, visited | {y}, compose(word + (step,)))
             if state not in seen:
                 seen.add(state)
                 stack.append(state)

@@ -15,8 +15,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .ipomset import (EMPTY, InterfaceMismatch, Ipomset, Problem, Step,
-                      StepWord, compose, glue, identity_ipomset,
+from .ipomset import (Ipomset, Problem, Step, StepWord, compose,
                       identity_step, sparse_decomposition, starter,
                       terminator)
 
@@ -162,15 +161,14 @@ class HDA:
 
     def up_steps(self) -> dict[str, list[tuple[frozenset[int], str]]]:
         """For each cell id x, the list of (positions A, cell y) with
-        lower face of y at A equal to x.  Nonempty A only."""
+        lower face of y at A equal to x.  Nonempty A only; listed by cell y,
+        then in ``composite_faces`` order."""
         if self._step_graph is None:
             graph: dict[str, list[tuple[frozenset[int], str]]] = {
                 cid: [] for cid in self.cells}
             for y in self.cells.values():
-                for r in range(1, y.dim + 1):
-                    for a in itertools.combinations(range(y.dim), r):
-                        x = face(self, y.id, 0, a)
-                        graph[x].append((frozenset(a), y.id))
+                for a, x, _ in composite_faces(self, y):
+                    graph[x].append((frozenset(a), y.id))
             self._step_graph = graph
         return self._step_graph
 
@@ -192,8 +190,28 @@ def face(hda: HDA, cell_id: str, side: int, positions: Iterable[int]) -> str:
     return cur
 
 
+def composite_faces(hda: HDA, cell: Cell
+                    ) -> Iterator[tuple[tuple[int, ...], str, str]]:
+    """For every nonempty position tuple a of the cell, by size and then in
+    ``combinations`` order: ``(a, face(.., 0, a), face(.., 1, a))``.
+
+    Each composite face is one face map away from the face at ``a[1:]``,
+    which comes earlier, so the table costs one lookup per entry."""
+    cells = hda.cells
+    lower = {(): cell.id}
+    upper = {(): cell.id}
+    for r in range(1, cell.dim + 1):
+        for a in itertools.combinations(range(cell.dim), r):
+            x = lower[a] = cells[lower[a[1:]]].lower[a[0]]
+            z = upper[a] = cells[upper[a[1:]]].upper[a[0]]
+            yield a, x, z
+
+
 def skeleton(hda: HDA, k: int) -> HDA:
-    """The sub-HDA of cells of dimension at most k."""
+    """The sub-HDA of cells of dimension at most k; hda itself when it has
+    no higher cell, so that its compiled automaton is reused."""
+    if k >= hda.dim():
+        return hda
     keep = {cid: c for cid, c in hda.cells.items() if c.dim <= k}
     return HDA(keep.values(), hda.start & set(keep), hda.accept & set(keep),
                hda.alphabet)
@@ -406,14 +424,13 @@ def is_deterministic_hda(hda: HDA) -> tuple[bool, str | None]:
     seen: dict[tuple[str, tuple[str, ...], frozenset[int]], str] = {}
     for y in sorted(ess):
         c = hda.cells[y]
-        for r in range(1, c.dim + 1):
-            for a in itertools.combinations(range(c.dim), r):
-                key = (face(hda, y, 0, a), c.events, frozenset(a))
-                if key in seen and seen[key] != y:
-                    return False, (
-                        f"cells {seen[key]!r} and {y!r} both start events at "
-                        f"coordinates {sorted(a)} from cell {key[0]!r}")
-                seen[key] = y
+        for a, x, _ in composite_faces(hda, c):
+            key = (x, c.events, frozenset(a))
+            if key in seen and seen[key] != y:
+                return False, (
+                    f"cells {seen[key]!r} and {y!r} both start events at "
+                    f"coordinates {sorted(a)} from cell {key[0]!r}")
+            seen[key] = y
     return True, None
 
 
@@ -487,17 +504,15 @@ def enumerate_language(hda: HDA, max_steps: int) -> set[tuple]:
                 queue.append((y, "starter", w2))
         if last != "terminator":
             c = hda.cells[cell]
-            for r in range(1, c.dim + 1):
-                for b in itertools.combinations(range(c.dim), r):
-                    st = terminator(c.events, b)
-                    y = face(hda, cell, 1, b)
-                    w2 = word + (st.key(),)
-                    if (y, w2) in seen:
-                        continue
-                    seen.add((y, w2))
-                    if y in hda.accept:
-                        words.add(w2)
-                    queue.append((y, "terminator", w2))
+            for b, _, y in composite_faces(hda, c):
+                st = terminator(c.events, b)
+                w2 = word + (st.key(),)
+                if (y, w2) in seen:
+                    continue
+                seen.add((y, w2))
+                if y in hda.accept:
+                    words.add(w2)
+                queue.append((y, "terminator", w2))
     return words
 
 
@@ -587,9 +602,11 @@ def pump(hda: HDA, qs: Sequence[Ipomset], m: int, r_max: int) -> PumpResult:
         raise DecompositionTooShort(
             f"need more than {len(hda.cells)} segments and "
             f"0 <= m <= n - {k}; got n={n}, m={m}")
-    whole = qs[0]
-    for q in qs[1:]:
-        whole = glue(whole, q)
+
+    def glued(segments: Sequence[Ipomset]) -> Ipomset:
+        return compose([s for q in segments for s in sparse_decomposition(q)])
+
+    whole = glued(qs)
     if not accepts(hda, whole):
         raise NotAccepted("the glued decomposition is not accepted")
 
@@ -616,10 +633,7 @@ def pump(hda: HDA, qs: Sequence[Ipomset], m: int, r_max: int) -> PumpResult:
                 continue
             members = []
             for t in range(1, r_max + 1):
-                pumped = list(qs[:i]) + list(qs[i:j]) * t + list(qs[j:])
-                whole_t = pumped[0]
-                for q in pumped[1:]:
-                    whole_t = glue(whole_t, q)
+                whole_t = glued(list(qs[:i]) + list(qs[i:j]) * t + list(qs[j:]))
                 if not accepts(hda, whole_t):
                     raise NotAccepted(
                         f"pumping {t} times broke membership; "

@@ -11,6 +11,16 @@ Events are addressed by index 0..n-1; labels live in ``labels``.  Both
 relations are stored transitively closed.  The canonical form of an
 ipomset is its sparse step decomposition, which also serves as equality
 and hash key.
+
+Every ipomset made from a step word comes from ``compose``: it walks
+the word once, giving each event the step that starts it and the step
+that terminates it (x precedes y when x is terminated before y is
+started), and the result carries the word with identities dropped and
+neighbouring steps of one kind merged, which is its sparse
+decomposition.  Keys, widths and printing of composed ipomsets read
+that word; ipomsets built from raw relations find it by a greedy
+simulation instead.  ``glue`` is ``compose`` of the two operands'
+sparse words.
 """
 from __future__ import annotations
 
@@ -141,7 +151,7 @@ class Ipomset:
     """An interval pomset with interfaces, validated at construction."""
 
     __slots__ = ("labels", "precedence", "event_order", "source", "target",
-                 "_key", "_hash")
+                 "_word", "_key", "_hash")
 
     def __init__(self, labels: Sequence[str], precedence=(), event_order=(),
                  source=(), target=()):
@@ -163,6 +173,7 @@ class Ipomset:
         self.event_order = ev
         self.source = source
         self.target = target
+        self._word = None  # the sparse decomposition, set by compose
         self._key = None
         self._hash = None
 
@@ -252,9 +263,6 @@ class Ipomset:
 _KINDS = ("starter", "terminator", "identity")
 
 
-_STEP_IPOMSETS: dict = {}
-
-
 @dataclass(frozen=True)
 class Step:
     """A starter, terminator, or identity over a conclist.
@@ -290,22 +298,8 @@ class Step:
         return self.conclist
 
     def as_ipomset(self) -> Ipomset:
-        cached = _STEP_IPOMSETS.get(self)
-        if cached is not None:
-            return cached
-        n = len(self.conclist)
-        order = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        carried = frozenset(range(n)) - self.marked
-        if self.kind == "starter":
-            source, target = carried, frozenset(range(n))
-        elif self.kind == "terminator":
-            source, target = frozenset(range(n)), carried
-        else:
-            source = target = frozenset(range(n))
-        result = Ipomset(self.conclist, (), order, source, target)
-        if len(_STEP_IPOMSETS) < 65536:
-            _STEP_IPOMSETS[self] = result
-        return result
+        """The ipomset of this one step: ``compose((self,))``."""
+        return compose((self,))
 
     def __repr__(self) -> str:
         from .text import print_step
@@ -375,17 +369,75 @@ class StepWord:
 
 
 def compose(word: StepWord | Sequence[Step]) -> Ipomset:
-    """Glue a step word into one ipomset."""
-    steps = list(word.steps if isinstance(word, StepWord) else word)
+    """Glue a step word into one ipomset, in one pass over its steps.
+
+    Events are numbered as the word meets them: the first step's whole
+    conclist top to bottom, then the events of each later starter top to
+    bottom.  x precedes y when x is terminated before y is started, and
+    the event order is generated by the steps' conclists.  A step that
+    does not chain onto the one before it raises InterfaceMismatch with
+    the step's index as ``position``.  The result carries the merged
+    word as its sparse decomposition.
+    """
+    steps = tuple(word.steps if isinstance(word, StepWord) else word)
     if not steps:
         raise ValueError("cannot compose an empty step sequence")
-    result = steps[0].as_ipomset()
-    for pos, step in enumerate(steps[1:], start=1):
-        try:
-            result = glue(result, step.as_ipomset())
-        except InterfaceMismatch as exc:
-            raise InterfaceMismatch(str(exc), position=pos) from None
+    first = steps[0]
+    labels = list(first.conclist)
+    active = list(range(len(labels)))  # the running conclist, as events
+    source = [e for e in active
+              if first.kind != "starter" or e not in first.marked]
+    done: list[int] = []  # events terminated so far
+    precedence: list[tuple[int, int]] = []
+    order: set[tuple[int, int]] = set()
+    for pos, step in enumerate(steps):
+        if pos:
+            have = tuple(labels[e] for e in active)
+            if step.source_conclist() != have:
+                raise InterfaceMismatch(
+                    f"cannot glue: target conclist {have} != "
+                    f"source conclist {step.source_conclist()}", position=pos)
+            if step.kind == "starter":
+                carried = iter(active)
+                active = []
+                for i, label in enumerate(step.conclist):
+                    if i in step.marked:
+                        y = len(labels)
+                        labels.append(label)
+                        precedence += [(x, y) for x in done]
+                        active.append(y)
+                    else:
+                        active.append(next(carried))
+        order.update(zip(active, active[1:]))
+        if step.kind == "terminator":
+            done += [active[i] for i in step.marked]
+            active = [e for i, e in enumerate(active) if i not in step.marked]
+    result = Ipomset(labels, precedence, order, source, active)
+    result._word = StepWord(_merge_word(steps))
     return result
+
+
+def _merge_word(steps: Sequence[Step]) -> tuple[Step, ...]:
+    """Drop the identities of a chaining word and merge neighbouring
+    starters, and likewise terminators, into one step each.  Every step
+    word of an ipomset merges to its sparse decomposition."""
+    out: list[Step] = []
+    for step in steps:
+        if step.kind == "identity":
+            continue
+        if not out or out[-1].kind != step.kind:
+            out.append(step)
+        elif step.kind == "starter":
+            # the earlier marks ride through the later step's unmarked slots
+            carry = [i for i in range(len(step.conclist)) if i not in step.marked]
+            out[-1] = starter(step.conclist, step.marked
+                              | {carry[i] for i in out[-1].marked})
+        else:
+            prev = out[-1]
+            carry = [i for i in range(len(prev.conclist)) if i not in prev.marked]
+            out[-1] = terminator(prev.conclist, prev.marked
+                                 | {carry[j] for j in step.marked})
+    return tuple(out) or (identity_step(steps[0].source_conclist()),)
 
 
 # --------------------------------------------------------------------------
@@ -393,34 +445,13 @@ def compose(word: StepWord | Sequence[Step]) -> Ipomset:
 
 def glue(p: Ipomset, q: Ipomset) -> Ipomset:
     """Serial composition; defined when target of p equals source of q as
-    conclists (same labels in the same event order)."""
-    p_t = p._sorted_by_event_order(p.target)
-    q_s = q._sorted_by_event_order(q.source)
-    if tuple(p.labels[i] for i in p_t) != tuple(q.labels[i] for i in q_s):
+    conclists (same labels in the same event order).  The result is the
+    composition of p's sparse word followed by q's."""
+    if p.target_conclist() != q.source_conclist():
         raise InterfaceMismatch(
             f"cannot glue: target conclist {p.target_conclist()} != "
             f"source conclist {q.source_conclist()}")
-    n_p = len(p.labels)
-    # events of q map either onto p's target (positionally) or to fresh indices
-    q_map: dict[int, int] = {}
-    for tgt_ev, src_ev in zip(p_t, q_s):
-        q_map[src_ev] = tgt_ev
-    nxt = n_p
-    for e in q.events():
-        if e not in q_map:
-            q_map[e] = nxt
-            nxt += 1
-    labels = list(p.labels) + [""] * (nxt - n_p)
-    for e in q.events():
-        labels[q_map[e]] = q.labels[e]
-    prec = set(p.precedence)
-    prec |= {(q_map[a], q_map[b]) for (a, b) in q.precedence}
-    left = [e for e in p.events() if e not in p.target]
-    right = [q_map[e] for e in q.events() if e not in q.source]
-    prec |= {(a, b) for a in left for b in right}
-    order = set(p.event_order)
-    order |= {(q_map[a], q_map[b]) for (a, b) in q.event_order}
-    return Ipomset(labels, prec, order, p.source, {q_map[e] for e in q.target})
+    return compose(sparse_decomposition(p).steps + sparse_decomposition(q).steps)
 
 
 def parallel(p: Ipomset, q: Ipomset) -> Ipomset:
@@ -468,11 +499,14 @@ def sparse_decomposition(p: Ipomset) -> StepWord:
     """The unique step word for p in which nonidentity starters and
     terminators strictly alternate.
 
-    Greedy simulation: start every event whose predecessors have all
-    terminated, then terminate every started event all of whose
-    concurrent partners have started.  Maximality of each phase is forced
-    by alternation, which gives uniqueness.
+    Composed ipomsets carry it.  Others are decomposed by greedy
+    simulation: start every event whose predecessors have all terminated,
+    then terminate every started event all of whose concurrent partners
+    have started.  Maximality of each phase is forced by alternation,
+    which gives uniqueness.
     """
+    if p._word is not None:
+        return p._word
     started = set(p.source)
     terminated: set[int] = set()
     todo_start = len(p.labels) - len(p.source)

@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, Sequence
 from .ipomset import (Ipomset, Problem, Step, StepWord, compose,
                       identity_ipomset, identity_step, sparse_decomposition,
                       starter, terminator, _insertions)
-from .hda import HDA
+from .hda import HDA, composite_faces
 
 
 class InvalidSTAutomaton(ValueError):
@@ -135,16 +135,9 @@ def _compile(hda: HDA) -> STAutomaton:
 
     transitions = []
     for y in cells.values():
-        # composite faces by marked positions: removing the smallest
-        # position last, face(a) is the face at a[0] of face(a[1:])
-        lower = {(): y.id}
-        upper = {(): y.id}
-        for r in range(1, y.dim + 1):
-            for a in itertools.combinations(range(y.dim), r):
-                x = lower[a] = cells[lower[a[1:]]].lower[a[0]]
-                z = upper[a] = cells[upper[a[1:]]].upper[a[0]]
-                transitions.append((x, step(starter, y.events, a), y.id))
-                transitions.append((y.id, step(terminator, y.events, a), z))
+        for a, x, z in composite_faces(hda, y):
+            transitions.append((x, step(starter, y.events, a), y.id))
+            transitions.append((y.id, step(terminator, y.events, a), z))
     states = {cid: c.events for cid, c in cells.items()}
     return STAutomaton(hda.alphabet, states, transitions,
                        hda.start, hda.accept, width_bound=hda.dim())

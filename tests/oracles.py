@@ -3,7 +3,11 @@
 Everything in here is written for clarity over speed and avoids the
 library's own shortcuts: subsumption tries every bijection, width tries
 every subset, and step-word normalisation works on raw index bookkeeping
-instead of going through glue.  The ST-automaton reference builds a
+instead of going through glue.  Composition is the left fold of a
+relation-level glue over one ipomset per step, and the sparse
+decomposition is found by greedy simulation on the relations, as the
+library did before it composed words in one pass and carried the
+result's word.  The ST-automaton reference builds a
 fresh automaton on every call and steps its word NFA by scanning every
 transition, as the library did before it compiled each HDA once into an
 index of steps.
@@ -11,8 +15,9 @@ index of steps.
 import itertools
 from collections import deque
 
-from hdalang import (Problem, STAutomaton, Step, coherent_word, face,
-                     identity_step, sparse_decomposition, starter, terminator,
+from hdalang import (InterfaceMismatch, Ipomset, Problem, STAutomaton, Step,
+                     StepWord, coherent_word, face, identity_step,
+                     sparse_decomposition, starter, terminator,
                      word_ipomset_of)
 
 
@@ -102,6 +107,119 @@ def merge_normalize(steps):
 
 def sparse_matches_merge(p, decomposition):
     return merge_normalize(decomposition) == tuple(sparse_decomposition(p))
+
+
+# --------------------------------------------------------------------------
+# ipomsets: left-fold composition and greedy decomposition on relations
+
+def _by_event_order(p, events):
+    """Events of one conclist, top to bottom: by how many of them are
+    above each in event order."""
+    events = list(events)
+    return tuple(sorted(events, key=lambda e: sum(
+        (f, e) in p.event_order for f in events)))
+
+
+def step_ipomset_oracle(step):
+    """The ipomset of one step, built from its relations."""
+    n = len(step.conclist)
+    order = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    carried = frozenset(range(n)) - step.marked
+    if step.kind == "starter":
+        source, target = carried, frozenset(range(n))
+    elif step.kind == "terminator":
+        source, target = frozenset(range(n)), carried
+    else:
+        source = target = frozenset(range(n))
+    return Ipomset(step.conclist, (), order, source, target)
+
+
+def glue_oracle(p, q):
+    """Serial composition on the relations: q's source events are
+    identified with p's target events, q's new events numbered after p's,
+    every event p terminates precedes every event q starts, and both
+    relations are closed anew by the constructor."""
+    p_t = _by_event_order(p, p.target)
+    q_s = _by_event_order(q, q.source)
+    if tuple(p.labels[i] for i in p_t) != tuple(q.labels[i] for i in q_s):
+        raise InterfaceMismatch(
+            f"cannot glue: target conclist {tuple(p.labels[i] for i in p_t)} "
+            f"!= source conclist {tuple(q.labels[i] for i in q_s)}")
+    n_p = len(p.labels)
+    q_map = dict(zip(q_s, p_t))
+    nxt = n_p
+    for e in q.events():
+        if e not in q_map:
+            q_map[e] = nxt
+            nxt += 1
+    labels = list(p.labels) + [""] * (nxt - n_p)
+    for e in q.events():
+        labels[q_map[e]] = q.labels[e]
+    prec = set(p.precedence)
+    prec |= {(q_map[a], q_map[b]) for (a, b) in q.precedence}
+    left = [e for e in p.events() if e not in p.target]
+    right = [q_map[e] for e in q.events() if e not in q.source]
+    prec |= {(a, b) for a in left for b in right}
+    order = set(p.event_order)
+    order |= {(q_map[a], q_map[b]) for (a, b) in q.event_order}
+    return Ipomset(labels, prec, order, p.source, {q_map[e] for e in q.target})
+
+
+def compose_oracle(steps):
+    """Left fold of ``glue_oracle`` over the steps' ipomsets; a step that
+    does not chain raises InterfaceMismatch at its index."""
+    steps = list(steps)
+    if not steps:
+        raise ValueError("cannot compose an empty step sequence")
+    result = step_ipomset_oracle(steps[0])
+    for pos, step in enumerate(steps[1:], start=1):
+        try:
+            result = glue_oracle(result, step_ipomset_oracle(step))
+        except InterfaceMismatch as exc:
+            raise InterfaceMismatch(str(exc), position=pos) from None
+    return result
+
+
+def sparse_decomposition_oracle(p):
+    """Greedy simulation on the relations: start every event whose
+    predecessors have all terminated, then terminate every started event
+    all of whose concurrent partners have started, until done."""
+    def concurrent(x, y):
+        return x != y and (x, y) not in p.precedence and (y, x) not in p.precedence
+
+    def conclist(active):
+        idx = _by_event_order(p, active)
+        return idx, tuple(p.labels[i] for i in idx)
+
+    started, terminated = set(p.source), set()
+    steps = []
+    while len(started) < len(p) or len(terminated) < len(p) - len(p.target):
+        a = [x for x in p.events() if x not in started and all(
+            y in terminated for (y, z) in p.precedence if z == x)]
+        if a:
+            started |= set(a)
+            idx, labels = conclist(started - terminated)
+            steps.append(starter(labels, {idx.index(x) for x in a}))
+        idx, labels = conclist(started - terminated)
+        b = [x for x in started if x not in terminated and x not in p.target
+             and all(y in started for y in p.events() if concurrent(x, y))]
+        if b:
+            steps.append(terminator(labels, {idx.index(x) for x in b}))
+            terminated |= set(b)
+        assert a or b, "no step decomposition: the precedence is stuck"
+    if not steps:
+        steps.append(identity_step(conclist(p.source)[1]))
+    return StepWord(steps)
+
+
+def up_steps_oracle(hda):
+    """``HDA.up_steps`` with every lower face found through ``face``."""
+    graph = {cid: [] for cid in hda.cells}
+    for y in hda.cells.values():
+        for r in range(1, y.dim + 1):
+            for a in itertools.combinations(range(y.dim), r):
+                graph[face(hda, y.id, 0, a)].append((frozenset(a), y.id))
+    return graph
 
 
 # --------------------------------------------------------------------------

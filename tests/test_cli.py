@@ -228,3 +228,32 @@ def test_data_files_round_trip(tmp_path):
         y = load_hda(str(out))
         assert sorted(x.cells) == sorted(y.cells)
         assert x.start == y.start and x.accept == y.accept
+
+
+# -- counts on the command line -----------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ["skeleton", "-k", "-1", "-o", "{out}"],
+    ["complement-member", "[a+][a-]", "-k", "-1"],
+    ["complement-empty", "-k", "-1"],
+    ["pump", "[a+][a-]", "-r", "-1"],
+    ["pump", "[a+][a-]", "-m", "-1"],
+])
+def test_negative_counts_are_bad_input(capsys, tmp_path, argv):
+    out = tmp_path / "out.hda"
+    argv = [a.format(out=out) for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv[:1] + [f"{DATA}/filled_square.hda"] + argv[1:])
+    assert exc.value.code == 2
+    assert "must be non-negative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_zero_width_is_valid(capsys, tmp_path):
+    out = tmp_path / "points.hda"
+    code, record = run(capsys, "skeleton", f"{DATA}/filled_square.hda",
+                       "-k", "0", "-o", str(out))
+    assert code == 0 and record["detail"] == "4 cells"
+    code, record = run(capsys, "complement-empty",
+                       f"{DATA}/filled_square.hda", "-k", "0")
+    assert code == 1 and record["witness"] == "[]"

@@ -1,0 +1,157 @@
+"""Composition in one pass, checked against the relation-level left fold.
+
+``compose`` builds an ipomset from a step word in one walk and carries
+the merged word as its sparse decomposition; ``glue`` composes the two
+operands' words.  The references in ``oracles.py`` glue one ipomset per
+step on the relations and decompose by greedy simulation.
+"""
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import hdalang.ipomset
+from hdalang import (InterfaceMismatch, Ipomset, Step, StepWord, coherent_word,
+                     compose, glue, identity_step, parse_ipomset,
+                     print_ipomset, sparse_decomposition)
+from hdalang.text import parse_step_word, print_step_word
+
+from fixtures import random_ipomset, random_step_word
+from oracles import compose_oracle, glue_oracle, sparse_decomposition_oracle
+
+FIELDS = ("labels", "precedence", "event_order", "source", "target")
+
+
+def sample_words(count, seed):
+    """Seeded (ipomset, step word) pairs of up to 8 events, often not
+    sparse.  Words of one step, two thirds of what the generators draw,
+    are skipped."""
+    rng = random.Random(seed)
+    while count:
+        p = random_ipomset(rng, max_events=rng.choice((2, 4, 6, 8)))
+        word = random_step_word(p, rng)
+        if len(word) > 1:
+            count -= 1
+            yield p, word
+
+
+def rebuilt(p):
+    """The same ipomset built from its relations, carrying no word."""
+    return Ipomset(p.labels, p.precedence, p.event_order, p.source, p.target)
+
+
+def test_compose_matches_the_left_fold():
+    for p, word in sample_words(2000, seed=7):
+        got, want = compose(word), compose_oracle(word)
+        for field in FIELDS:
+            assert getattr(got, field) == getattr(want, field), (word, field)
+        assert got.key() == want.key() == p.key()
+
+
+def test_carried_word_is_the_greedy_decomposition():
+    for p, word in sample_words(500, seed=8):
+        q = rebuilt(compose(word))
+        assert q._word is None
+        assert sparse_decomposition(compose(word)) == sparse_decomposition_oracle(q)
+        assert sparse_decomposition(q) == sparse_decomposition_oracle(q)
+
+
+def test_glue_at_every_split_point():
+    for p, word in sample_words(300, seed=9):
+        whole = compose(word)
+        for cut in range(len(word) + 1):
+            left = word[:cut] or [identity_step(word[0].source_conclist())]
+            right = word[cut:] or [identity_step(word[-1].target_conclist())]
+            glued = glue(compose(left), compose(right))
+            assert glued == whole
+            assert glued == glue_oracle(compose_oracle(left), compose_oracle(right))
+
+
+def test_glue_of_raw_ipomsets_goes_through_their_greedy_words():
+    for p, word in sample_words(200, seed=10):
+        cut = len(word) // 2
+        if not cut:
+            continue
+        left, right = rebuilt(compose(word[:cut])), rebuilt(compose(word[cut:]))
+        assert glue(left, right) == p
+
+
+def _broken(word, rng):
+    """The word with one later step given an extra carried event ``c``,
+    so that it no longer chains onto the step before it."""
+    i = rng.randrange(1, len(word))
+    s = word[i]
+    bad = Step(s.kind, s.conclist + ("c",), s.marked)
+    return word[:i] + [bad] + word[i + 1:], i
+
+
+def test_broken_words_fail_at_the_same_position():
+    rng = random.Random(11)
+    for p, word in sample_words(500, seed=12):
+        bad, i = _broken(word, rng)
+        with pytest.raises(InterfaceMismatch) as got:
+            compose(bad)
+        with pytest.raises(InterfaceMismatch) as want:
+            compose_oracle(bad)
+        assert got.value.position == want.value.position == i
+        assert str(got.value) == str(want.value)
+
+
+def test_glue_keeps_its_interface_message():
+    p, q = parse_ipomset("[a+][a-]"), parse_ipomset("[a][a-]")
+    with pytest.raises(InterfaceMismatch) as exc:
+        glue(p, q)
+    assert exc.value.position is None
+    assert str(exc.value) == ("cannot glue: target conclist () != "
+                              "source conclist ('a',)")
+
+
+@given(st.integers(min_value=0, max_value=10**9))
+@settings(max_examples=200, deadline=None)
+def test_printing_a_parsed_word_is_a_fixed_point(seed):
+    rng = random.Random(seed)
+    p = random_ipomset(rng)
+    text = print_step_word(StepWord(random_step_word(p, rng)))
+    once = print_ipomset(parse_ipomset(text))
+    assert print_ipomset(parse_ipomset(once)) == once == print_ipomset(p)
+
+
+@pytest.mark.parametrize("n", [20, 200])
+def test_parsing_builds_one_ipomset_not_one_per_step(monkeypatch, n):
+    built = []
+    init = Ipomset.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(len(args[0]))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Ipomset, "__init__", counting)
+    p = parse_ipomset("[a+][a-]" * n)
+    assert len(p) == n
+    assert built == [n]
+
+
+@pytest.mark.parametrize("text", [
+    "[a+][a-]" * 30,
+    "[a+ b+][a- b][a+ b][a b-][a-]" * 4,
+    "[a b+][a b][a- b-][c+ d+ e+][c d- e][c- e][e a+][e- a-]",
+])
+def test_long_words_match_the_left_fold(text):
+    word = parse_step_word(text)
+    got, want = compose(word), compose_oracle(word.steps)
+    for field in FIELDS:
+        assert getattr(got, field) == getattr(want, field)
+    assert sparse_decomposition(got) == sparse_decomposition_oracle(want)
+
+
+def test_composed_ipomsets_read_their_word_not_the_relations(monkeypatch):
+    def stuck(*args):
+        raise AssertionError("greedy decomposition of a composed ipomset")
+
+    monkeypatch.setattr(hdalang.ipomset, "_startable", stuck)
+    text = "[a+ b+][a- b][b c+][b- c-]" * 3
+    p = glue(parse_ipomset(text), parse_ipomset("[a+][a-]"))
+    assert print_ipomset(p) == text + "[a+][a-]"
+    assert p.width() == 2 and len(coherent_word(p)) == 2 * 14 + 1
+    with pytest.raises(AssertionError):
+        sparse_decomposition(rebuilt(p))

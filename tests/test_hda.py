@@ -1,21 +1,24 @@
 """HDA structure, paths, languages, products, and pumping."""
+import itertools
 import random
 
 import pytest
 
 from hdalang import (HDA, Cell, DecompositionTooShort, IllegalMove,
-                     InvalidHDA, Move, NotAccepted, Path, accepts,
+                     InvalidHDA, Move, NotAccepted, Path, accepts, build,
+                     complement_empty, complement_member, stauto,
                      count_sparse_accepting_paths, dense_decomposition,
                      discrete_ipomset, dump_hda, ev, face, hda_from_dict,
                      hda_to_dict, identity_ipomset, is_deterministic_hda,
                      language_ipomsets, load_hda, parse_ipomset, path_accepts,
                      product, pump, skeleton, sparsify, subsumes,
                      validate_path, word_ipomset)
-from hdalang.hda import essential_cells
+from hdalang.hda import composite_faces, essential_cells
 
-from fixtures import (a_loop, branching_square, filled_square,
+from fixtures import (a_loop, ab_c_rectangle, branching_square, filled_square,
                       one_letter_chain, parallel_square, random_hda,
-                      two_lane_loop)
+                      random_up, rectangle_pair, track_hda, two_lane_loop)
+from oracles import up_steps_oracle
 
 
 # -- validation --------------------------------------------------------------
@@ -317,3 +320,52 @@ def test_pump_rejects_unaccepted_input():
     qs = [s.as_ipomset() for s in dense_decomposition(word_ipomset("aaaaaaa"))]
     with pytest.raises(NotAccepted):
         pump(x, qs, 0, 2)
+
+
+# -- composite faces and reuse of compiled automata ---------------------------
+
+def _face_tables_hdas():
+    rng = random.Random(41)
+    yield from (filled_square(), branching_square(), parallel_square(),
+                a_loop(), one_letter_chain(), two_lane_loop(),
+                ab_c_rectangle(), rectangle_pair(),
+                track_hda(discrete_ipomset("abc")),
+                track_hda(parse_ipomset("[a+ b+][a- b][b c+][b- c-]")))
+    yield from (build(random_up(rng)) for _ in range(10))
+    yield from (random_hda(rng) for _ in range(50))
+
+
+def test_up_steps_match_the_face_route():
+    for x in _face_tables_hdas():
+        assert x.up_steps() == up_steps_oracle(x)
+
+
+def test_composite_faces_match_face():
+    for x in _face_tables_hdas():
+        for c in x.cells.values():
+            want = [(a, face(x, c.id, 0, a), face(x, c.id, 1, a))
+                    for r in range(1, c.dim + 1)
+                    for a in itertools.combinations(range(c.dim), r)]
+            assert list(composite_faces(x, c)) == want
+
+
+def test_skeleton_at_full_width_is_the_automaton_itself():
+    x = filled_square()
+    assert skeleton(x, 2) is x and skeleton(x, 5) is x
+    assert skeleton(x, 1) is not x
+
+
+def test_bounded_complements_reuse_the_compiled_automaton(monkeypatch):
+    compiled = []
+    compile_ = stauto._compile
+
+    def counting(hda):
+        compiled.append(hda)
+        return compile_(hda)
+
+    monkeypatch.setattr(stauto, "_compile", counting)
+    x = filled_square()
+    p = parse_ipomset("[a+][a-]")
+    assert complement_member(x, 2, p) == complement_member(x, 2, p)
+    complement_empty(x, 2)
+    assert compiled == [x]
