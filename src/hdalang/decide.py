@@ -1,24 +1,23 @@
 """Decision procedures on HDA languages.
 
 Everything here reduces questions about the ipomset language of an HDA to
-finite-automaton work on its ST-automaton: membership runs the coherent
-word, inclusion runs an on-the-fly subset construction, emptiness is
-plain reachability.  Width-bounded complements go through supersumption
-enumeration (single ipomsets) or the determinised complement automaton
-(emptiness).  Language determinism compares prefix quotients.
+finite-automaton work on its ST-automaton, compiled once per HDA:
+membership runs the coherent word, inclusion runs an on-the-fly subset
+construction, emptiness is plain reachability.  Width-bounded complements
+go through supersumption enumeration (single ipomsets) or the determinised
+complement automaton (emptiness); both run on the whole automaton, as a
+word of width at most k only visits states of at most k events.  Language
+determinism compares prefix quotients as inclusions of the automaton with
+itself from the quotients' start sets.
 """
 from __future__ import annotations
 
-from typing import Iterable
-
 from . import stauto
-from .hda import (HDA, _segment_relation, composite_faces, product, reachable,
-                  skeleton)
+from .hda import HDA, _segment_relation, product, reachable
 from .ipomset import (Ipomset, WidthExceeded, compose, identity_step,
-                      sparse_decomposition, starter, subsumes, supersumptions,
-                      terminator)
-from .stauto import complement_words, coherent_word, emptiness, inclusion, st_of_hda
-from .text import print_ipomset
+                      sparse_decomposition, subsumes, supersumptions)
+from .stauto import (_uncovered, complement_words, emptiness, inclusion,
+                     st_of_hda)
 
 
 def member(x: HDA, p: Ipomset) -> bool:
@@ -61,7 +60,7 @@ def complement_member(x: HDA, k: int, p: Ipomset) -> tuple[bool, Ipomset | None]
     if p.width() > k:
         raise WidthExceeded(
             f"width {p.width()} of the queried ipomset exceeds the bound {k}")
-    a = st_of_hda(skeleton(x, k))
+    a = st_of_hda(x)
     for q in supersumptions(p, k):
         if not stauto.member(a, q):
             return True, q
@@ -72,8 +71,7 @@ def complement_empty(x: HDA, k: int) -> tuple[bool, Ipomset | None]:
     """Is the width-k bounded complement of the language empty, i.e. does
     x accept every ipomset of width at most k?  A shortest unaccepted
     ipomset witnesses a nonempty complement."""
-    comp = complement_words(st_of_hda(skeleton(x, k)), width=k)
-    return emptiness(comp)
+    return emptiness(complement_words(st_of_hda(x), width=k))
 
 
 # --------------------------------------------------------------------------
@@ -88,7 +86,7 @@ def pre_set(x: HDA) -> dict[Ipomset, frozenset[str]]:
     repeated cells keeps the set finite without losing quotient targets
     needed by the determinism check.
     """
-    up = x.up_steps()
+    successors = st_of_hda(x).successors
     found: dict[Ipomset, set[str]] = {}
     stack = []
     seen = set()
@@ -100,19 +98,18 @@ def pre_set(x: HDA) -> dict[Ipomset, frozenset[str]]:
     while stack:
         cell, visited, prefix = stack.pop()
         found.setdefault(prefix, set()).add(cell)
-        moves = [(starter(x.cells[y].events, a), y)
-                 for a, y in up[cell] if y not in visited]
-        c = x.cells[cell]
-        moves += [(terminator(c.events, b), y)
-                  for b, _, y in composite_faces(x, c) if y not in visited]
         word = sparse_decomposition(prefix).steps
-        for step, y in moves:
-            # move orders that realise the same prefix are interchangeable,
-            # so exploring one (cell, visited, prefix) triple is enough
-            state = (y, visited | {y}, compose(word + (step,)))
-            if state not in seen:
-                seen.add(state)
-                stack.append(state)
+        for step, targets in successors[cell].items():
+            for y in targets:
+                if y in visited:
+                    continue
+                # move orders that realise the same prefix are
+                # interchangeable, so exploring one (cell, visited, prefix)
+                # triple is enough
+                state = (y, visited | {y}, compose(word + (step,)))
+                if state not in seen:
+                    seen.add(state)
+                    stack.append(state)
     return {p: frozenset(ends) for p, ends in found.items()}
 
 
@@ -131,12 +128,17 @@ def is_deterministic_language(x: HDA) -> tuple[bool, tuple[Ipomset, Ipomset] | N
     """Whether the language is deterministic: any two comparable prefixes
     of the language leave the same quotient.
 
-    More ordered prefixes always leave a larger quotient, so only the
-    missing containment is checked, pairwise over the realised prefixes.
+    Each pair of comparable realised prefixes is checked for equal
+    quotients, as inclusion both ways of the ST-automaton with itself
+    from the two sets of cells the prefixes lead to.  More ordered
+    prefixes leave a larger quotient of the language, but the target sets
+    come from paths without repeated cells and need not follow that, so
+    both containments are checked.
     Pairs are scanned in descending canonical order and the first failing
     one is the witness, so the witness is the canonically largest.
     """
     pre = pre_set(x)
+    a = st_of_hda(x)
     co = reachable(x, x.accept, backward=True)
     items = sorted(pre.items(), key=lambda kv: kv[0].key(), reverse=True)
 
@@ -164,9 +166,8 @@ def is_deterministic_language(x: HDA) -> tuple[bool, tuple[Ipomset, Ipomset] | N
                 continue
             key = (tuple(sorted(p_targets)), tuple(sorted(q_targets)))
             if key not in cache:
-                xp = HDA(x.cells.values(), p_targets, x.accept, x.alphabet)
-                xq = HDA(x.cells.values(), q_targets, x.accept, x.alphabet)
-                cache[key] = equivalent(xp, xq)[0]
+                cache[key] = (_uncovered(a, p_targets, a, q_targets) is None
+                              and _uncovered(a, q_targets, a, p_targets) is None)
             if not cache[key]:
                 return False, (p, q)
     return True, None

@@ -437,19 +437,13 @@ def is_deterministic_hda(hda: HDA) -> tuple[bool, str | None]:
 # --------------------------------------------------------------------------
 # languages
 
-def count_sparse_accepting_paths(hda: HDA, p: Ipomset) -> int:
-    """Number of sparse accepting paths observing exactly p."""
-    word = sparse_decomposition(p)
-    if p.is_identity():
-        u = p.source_conclist()
-        return sum(1 for cid in hda.start & hda.accept
-                   if hda.cells[cid].events == u)
-    cur: dict[str, int] = {}
-    src = word.steps[0].source_conclist()
-    for cid in hda.start:
-        if hda.cells[cid].events == src:
-            cur[cid] = 1
-    for step in word.steps:
+def _walk(hda: HDA, p: Ipomset, start: dict[str, int]) -> dict[str, int]:
+    """Walk the sparse decomposition of p through the face maps: for each
+    cell, the number of sparse paths observing p that end there, each
+    start cell over p's source conclist counting with its weight."""
+    u = p.source_conclist()
+    cur = {cid: n for cid, n in start.items() if hda.cells[cid].events == u}
+    for step in () if p.is_identity() else sparse_decomposition(p).steps:
         nxt: dict[str, int] = {}
         if step.kind == "starter":
             for y in hda.by_conclist(step.conclist):
@@ -462,8 +456,14 @@ def count_sparse_accepting_paths(hda: HDA, p: Ipomset) -> int:
                 nxt[y] = nxt.get(y, 0) + n
         cur = nxt
         if not cur:
-            return 0
-    return sum(n for cid, n in cur.items() if cid in hda.accept)
+            break
+    return cur
+
+
+def count_sparse_accepting_paths(hda: HDA, p: Ipomset) -> int:
+    """Number of sparse accepting paths observing exactly p."""
+    ends = _walk(hda, p, dict.fromkeys(hda.start, 1))
+    return sum(n for cid, n in ends.items() if cid in hda.accept)
 
 
 def accepts(hda: HDA, p: Ipomset) -> bool:
@@ -562,28 +562,11 @@ class PumpResult:
 
 def _segment_relation(hda: HDA, q: Ipomset) -> dict[str, set[str]]:
     """For each cell x, the cells reachable by a sparse path observing q."""
-    word = sparse_decomposition(q)
     rel: dict[str, set[str]] = {}
-    if q.is_identity():
-        for cid in hda.by_conclist(q.source_conclist()):
-            rel[cid] = {cid}
-        return rel
-    src = word.steps[0].source_conclist()
-    for x0 in hda.by_conclist(src):
-        cur = {x0}
-        for step in word.steps:
-            nxt: set[str] = set()
-            if step.kind == "starter":
-                for y in hda.by_conclist(step.conclist):
-                    if face(hda, y, 0, step.marked) in cur:
-                        nxt.add(y)
-            else:
-                nxt = {face(hda, x, 1, step.marked) for x in cur}
-            cur = nxt
-            if not cur:
-                break
-        if cur:
-            rel[x0] = cur
+    for x0 in hda.by_conclist(q.source_conclist()):
+        ends = _walk(hda, q, {x0: 1})
+        if ends:
+            rel[x0] = set(ends)
     return rel
 
 

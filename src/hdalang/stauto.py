@@ -14,9 +14,8 @@ import itertools
 from collections import deque
 from typing import Iterable, Iterator, Sequence
 
-from .ipomset import (Ipomset, Problem, Step, StepWord, compose,
-                      identity_ipomset, identity_step, sparse_decomposition,
-                      starter, terminator, _insertions)
+from .ipomset import (Ipomset, Problem, Step, StepWord, compose, identity_step,
+                      sparse_decomposition, starter, terminator, _insertions)
 from .hda import HDA, composite_faces
 
 
@@ -161,46 +160,39 @@ def word_ipomset_of(word: Sequence[Step]) -> Ipomset:
 
 
 # --------------------------------------------------------------------------
-# runs: the induced word NFA has an in-node and an out-node per state;
-# the identity of a state's conclist moves in -> out, transitions move
-# out -> in of their target.
+# runs: identities are implicit self-loops, so a run is a set of states
+# and each step letter moves it through ``successors``; a coherent word
+# ``id s1 id ... sn id`` is read as its steps between matching identities.
 
-def _initial_nodes(a: STAutomaton) -> frozenset[tuple[str, str]]:
-    return frozenset(("in", q) for q in a.initial)
-
-
-def _final_nodes(a: STAutomaton) -> frozenset[tuple[str, str]]:
-    return frozenset(("out", q) for q in a.final)
-
-
-def _nfa_step(a: STAutomaton, nodes: Iterable[tuple[str, str]],
-              letter: Step) -> frozenset[tuple[str, str]]:
-    out = set()
-    for side, q in nodes:
-        if side == "in":
-            if letter.kind == "identity" and letter.conclist == a.states[q]:
-                out.add(("out", q))
-        else:
-            for r in a.successors[q].get(letter, ()):
-                out.add(("in", r))
+def _post(a: STAutomaton, states: Iterable[str], step: Step) -> frozenset[str]:
+    """The states one transition over ``step`` leads to from ``states``."""
+    out: set[str] = set()
+    for q in states:
+        out.update(a.successors[q].get(step, ()))
     return frozenset(out)
 
 
-def _letters_from(a: STAutomaton, node: tuple[str, str]) -> Iterator[Step]:
-    side, q = node
-    if side == "in":
-        yield identity_step(a.states[q])
-    else:
-        yield from a.successors[q]
+def _starting(a: STAutomaton, states: Iterable[str],
+              conclist: tuple[str, ...]) -> frozenset[str]:
+    """The states a run over a word from ``conclist`` can start in."""
+    return frozenset(q for q in states if a.states[q] == conclist)
 
 
 def accepts_word(a: STAutomaton, word: Sequence[Step]) -> bool:
-    nodes = _initial_nodes(a)
-    for letter in word:
-        nodes = _nfa_step(a, nodes, letter)
-        if not nodes:
+    """Is ``word`` a coherent word the automaton accepts?  Coherent means
+    ``id s1 id ... sn id``, each identity over the conclist its step ends
+    in (the first over that of the initial state)."""
+    if len(word) % 2 == 0 or word[0].kind != "identity":
+        return False
+    states = _starting(a, a.initial, word[0].conclist)
+    for i in range(1, len(word), 2):
+        step, ident = word[i], word[i + 1]
+        if ident.kind != "identity" or ident.conclist != step.target_conclist():
             return False
-    return bool(nodes & _final_nodes(a))
+        states = _post(a, states, step)
+        if not states:
+            return False
+    return bool(states & a.final)
 
 
 def member(a: STAutomaton, p: Ipomset) -> bool:
@@ -211,41 +203,29 @@ def member(a: STAutomaton, p: Ipomset) -> bool:
 def enumerate_wang(a: STAutomaton, max_letters: int) -> set[tuple[Step, ...]]:
     """All accepted coherent words with at most ``max_letters`` letters."""
     out: set[tuple[Step, ...]] = set()
-    finals = _final_nodes(a)
-    seen: set[tuple[tuple[str, str], tuple]] = set()
-    queue: deque[tuple[tuple[str, str], tuple[Step, ...]]] = deque(
-        (n, ()) for n in sorted(_initial_nodes(a)))
-    while queue:
-        node, word = queue.popleft()
-        if node in finals and word:
+    if max_letters < 1:
+        return out
+    # each word up to its last step, with the conclist and the set of
+    # states it leads to
+    todo = [((), cl, _starting(a, a.initial, cl))
+            for cl in {a.states[q] for q in a.initial}]
+    while todo:
+        word, cl, states = todo.pop()
+        word += (identity_step(cl),)
+        if states & a.final:
             out.add(word)
-        if len(word) >= max_letters:
-            continue
-        for letter in _letters_from(a, node):
-            for nxt in _nfa_step(a, [node], letter):
-                key = (nxt, tuple(s.key() for s in word) + (letter.key(),))
-                if key not in seen:
-                    seen.add(key)
-                    queue.append((nxt, word + (letter,)))
+        if len(word) + 2 <= max_letters:
+            for step in {s for q in states for s in a.successors[q]}:
+                nxt = _post(a, states, step)
+                todo.append((word + (step,), step.target_conclist(), nxt))
     return out
 
 
 def emptiness(a: STAutomaton) -> tuple[bool, Ipomset | None]:
-    """Whether the language is empty; if not, a shortest witness."""
-    seen = set(_initial_nodes(a))
-    queue: deque[tuple[tuple[str, str], tuple[Step, ...]]] = deque(
-        (n, ()) for n in sorted(seen))
-    finals = _final_nodes(a)
-    while queue:
-        node, word = queue.popleft()
-        if node in finals:
-            return False, word_ipomset_of(word)
-        for letter in _letters_from(a, node):
-            for nxt in _nfa_step(a, [node], letter):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append((nxt, word + (letter,)))
-    return True, None
+    """Whether the language is empty; if not, a shortest witness, found
+    as a shortest word that a accepts and a run from no state rejects."""
+    word = _uncovered(a, a.initial, a, ())
+    return (True, None) if word is None else (False, word_ipomset_of(word))
 
 
 def inclusion(a: STAutomaton, b: STAutomaton) -> tuple[bool, Ipomset | None]:
@@ -254,25 +234,34 @@ def inclusion(a: STAutomaton, b: STAutomaton) -> tuple[bool, Ipomset | None]:
     On-the-fly subset construction; returns a shortest counterexample
     when the answer is no.
     """
-    b_finals = _final_nodes(b)
-    start_b = _initial_nodes(b)
-    queue: deque[tuple[tuple[str, str], frozenset, tuple[Step, ...]]] = deque()
+    word = _uncovered(a, a.initial, b, b.initial)
+    return (True, None) if word is None else (False, word_ipomset_of(word))
+
+
+def _uncovered(a: STAutomaton, a_start: Iterable[str], b: STAutomaton,
+               b_start: Iterable[str]) -> tuple[Step, ...] | None:
+    """A shortest coherent word that a accepts from ``a_start`` and b
+    rejects from ``b_start``, or None when there is none: breadth-first
+    over pairs of an a-state and the set of b-states the same word
+    reaches."""
+    queue: deque[tuple[str, frozenset[str], tuple[Step, ...]]] = deque()
     seen = set()
-    for n in sorted(_initial_nodes(a)):
-        queue.append((n, start_b, ()))
-        seen.add((n, start_b))
-    a_finals = _final_nodes(a)
+    for q in sorted(a_start):
+        pair = (q, _starting(b, b_start, a.states[q]))
+        seen.add(pair)
+        queue.append(pair + ((),))
     while queue:
-        node, bset, word = queue.popleft()
-        if node in a_finals and word and not (bset & b_finals):
-            return False, word_ipomset_of(word)
-        for letter in _letters_from(a, node):
-            bnext = _nfa_step(b, bset, letter)
-            for nxt in _nfa_step(a, [node], letter):
-                if (nxt, bnext) not in seen:
-                    seen.add((nxt, bnext))
-                    queue.append((nxt, bnext, word + (letter,)))
-    return True, None
+        q, bset, word = queue.popleft()
+        word += (identity_step(a.states[q]),)
+        if q in a.final and not bset & b.final:
+            return word
+        for step, targets in a.successors[q].items():
+            bnext = _post(b, bset, step) if bset else bset
+            for r in targets:
+                if (r, bnext) not in seen:
+                    seen.add((r, bnext))
+                    queue.append((r, bnext, word + (step,)))
+    return None
 
 
 # --------------------------------------------------------------------------
@@ -333,14 +322,6 @@ def complement_words(a: STAutomaton, width: int | None = None) -> STAutomaton:
         raise ValueError("no width bound: pass one explicitly")
     letters = sorted(a.alphabet)
 
-    def absorb(dset: frozenset[str], letter: Step) -> frozenset[str]:
-        # dset holds a-states after their identity; read letter, then the
-        # identity of the target conclist (always available).
-        out = set()
-        for q in dset:
-            out.update(a.successors[q].get(letter, ()))
-        return frozenset(out)
-
     def state_id(cl: tuple[str, ...], dset: frozenset[str]) -> str:
         return _conclist_id(cl) + "{" + " ".join(sorted(dset)) + "}"
 
@@ -350,7 +331,7 @@ def complement_words(a: STAutomaton, width: int | None = None) -> STAutomaton:
     final = []
     queue: deque[tuple[tuple[str, ...], frozenset[str]]] = deque()
     for cl in _all_conclists(letters, k):
-        dset = frozenset(q for q in a.initial if a.states[q] == cl)
+        dset = _starting(a, a.initial, cl)
         sid = state_id(cl, dset)
         initial.append(sid)
         if sid not in states:
@@ -362,7 +343,7 @@ def complement_words(a: STAutomaton, width: int | None = None) -> STAutomaton:
         if not (dset & a.final):
             final.append(sid)
         for letter in _width_letters(cl, letters, k):
-            nxt = absorb(dset, letter)
+            nxt = _post(a, dset, letter)
             target_cl = letter.target_conclist()
             tid = state_id(target_cl, nxt)
             if tid not in states:

@@ -10,15 +10,22 @@ library did before it composed words in one pass and carried the
 result's word.  The ST-automaton reference builds a
 fresh automaton on every call and steps its word NFA by scanning every
 transition, as the library did before it compiled each HDA once into an
-index of steps.
+index of steps.  Its runs step pairs of in- and out-nodes per state,
+as the library did before it stepped plain state sets; quotient pairs
+get HDAs of their own and bounded complements run on the skeleton, as
+the library did before it asked both of the automaton compiled once.
+The weighted walks are the two loops the library had before it shared
+one.
 """
 import itertools
 from collections import deque
 
-from hdalang import (InterfaceMismatch, Ipomset, Problem, STAutomaton, Step,
-                     StepWord, coherent_word, face, identity_step,
-                     sparse_decomposition, starter, terminator,
-                     word_ipomset_of)
+from hdalang import (HDA, InterfaceMismatch, Ipomset, Problem, STAutomaton,
+                     StepWord, coherent_word, complement_words, compose,
+                     face, identity_step, skeleton,
+                     sparse_decomposition, starter, subsumes, supersumptions,
+                     terminator, word_ipomset_of)
+from hdalang.hda import composite_faces, reachable
 
 
 def subsumes_oracle(p, q):
@@ -354,3 +361,155 @@ def inclusion_oracle(a, b):
                     seen.add((nxt, bnext))
                     queue.append((nxt, bnext, word + (letter,)))
     return True, None
+
+
+def accepts_word_oracle(a, word):
+    nodes = frozenset(("in", q) for q in a.initial)
+    for letter in word:
+        nodes = nfa_step_oracle(a, nodes, letter)
+        if not nodes:
+            return False
+    return any(("out", q) in nodes for q in a.final)
+
+
+def enumerate_wang_oracle(a, max_letters):
+    """Breadth-first over (node, word) pairs, every accepted word with at
+    most ``max_letters`` letters."""
+    out = set()
+    seen = set()
+    queue = deque((n, ()) for n in sorted(("in", q) for q in a.initial))
+    while queue:
+        node, word = queue.popleft()
+        if node[0] == "out" and node[1] in a.final and word:
+            out.add(word)
+        if len(word) >= max_letters:
+            continue
+        for letter in _letters_oracle(a, node):
+            for nxt in nfa_step_oracle(a, [node], letter):
+                key = (nxt, tuple(s.key() for s in word) + (letter.key(),))
+                if key not in seen:
+                    seen.add(key)
+                    queue.append((nxt, word + (letter,)))
+    return out
+
+
+# --------------------------------------------------------------------------
+# decisions: prefixes on the face tables, an HDA per quotient, complements
+# on the skeleton
+
+def pre_set_oracle(x):
+    """Prefixes along paths without repeated cells, with their end cells;
+    moves taken from ``up_steps`` and ``composite_faces``."""
+    up = x.up_steps()
+    found = {}
+    stack = []
+    seen = set()
+    for origin in sorted(x.start):
+        state = (origin, frozenset({origin}),
+                 compose([identity_step(x.cells[origin].events)]))
+        stack.append(state)
+        seen.add(state)
+    while stack:
+        cell, visited, prefix = stack.pop()
+        found.setdefault(prefix, set()).add(cell)
+        moves = [(starter(x.cells[y].events, a), y)
+                 for a, y in up[cell] if y not in visited]
+        c = x.cells[cell]
+        moves += [(terminator(c.events, b), y)
+                  for b, _, y in composite_faces(x, c) if y not in visited]
+        word = sparse_decomposition(prefix).steps
+        for step, y in moves:
+            state = (y, visited | {y}, compose(word + (step,)))
+            if state not in seen:
+                seen.add(state)
+                stack.append(state)
+    return {p: frozenset(ends) for p, ends in found.items()}
+
+
+def is_deterministic_language_oracle(x):
+    """Every comparable pair of realised prefixes, in descending canonical
+    order, compared through two HDAs with the pair's target sets as start
+    cells, each compiled anew and checked for inclusion both ways."""
+    pre = pre_set_oracle(x)
+    co = reachable(x, x.accept, backward=True)
+    items = sorted(pre.items(), key=lambda kv: kv[0].key(), reverse=True)
+    for p, p_targets in items:
+        for q, q_targets in items:
+            if not q_targets & co:
+                continue
+            if p == q or p_targets == q_targets or not subsumes(p, q):
+                continue
+            ap = st_of_hda_oracle(HDA(x.cells.values(), p_targets, x.accept,
+                                      x.alphabet))
+            aq = st_of_hda_oracle(HDA(x.cells.values(), q_targets, x.accept,
+                                      x.alphabet))
+            if not (inclusion_oracle(ap, aq)[0] and inclusion_oracle(aq, ap)[0]):
+                return False, (p, q)
+    return True, None
+
+
+def complement_member_oracle(x, k, p):
+    a = st_of_hda_oracle(skeleton(x, k))
+    for q in supersumptions(p, k):
+        if not member_oracle(a, q):
+            return True, q
+    return False, None
+
+
+def complement_empty_oracle(x, k):
+    return emptiness_oracle(
+        complement_words(st_of_hda_oracle(skeleton(x, k)), width=k))
+
+
+# --------------------------------------------------------------------------
+# HDAs: the face-based walks over a sparse word
+
+def count_sparse_accepting_paths_oracle(hda, p):
+    word = sparse_decomposition(p)
+    if p.is_identity():
+        u = p.source_conclist()
+        return sum(1 for cid in hda.start & hda.accept
+                   if hda.cells[cid].events == u)
+    cur = {}
+    src = word.steps[0].source_conclist()
+    for cid in hda.start:
+        if hda.cells[cid].events == src:
+            cur[cid] = 1
+    for step in word.steps:
+        nxt = {}
+        if step.kind == "starter":
+            for y in hda.by_conclist(step.conclist):
+                x = face(hda, y, 0, step.marked)
+                if x in cur:
+                    nxt[y] = nxt.get(y, 0) + cur[x]
+        else:
+            for x, n in cur.items():
+                y = face(hda, x, 1, step.marked)
+                nxt[y] = nxt.get(y, 0) + n
+        cur = nxt
+        if not cur:
+            return 0
+    return sum(n for cid, n in cur.items() if cid in hda.accept)
+
+
+def segment_relation_oracle(hda, q):
+    word = sparse_decomposition(q)
+    rel = {}
+    if q.is_identity():
+        for cid in hda.by_conclist(q.source_conclist()):
+            rel[cid] = {cid}
+        return rel
+    src = word.steps[0].source_conclist()
+    for x0 in hda.by_conclist(src):
+        cur = {x0}
+        for step in word.steps:
+            if step.kind == "starter":
+                cur = {y for y in hda.by_conclist(step.conclist)
+                       if face(hda, y, 0, step.marked) in cur}
+            else:
+                cur = {face(hda, x, 1, step.marked) for x in cur}
+            if not cur:
+                break
+        if cur:
+            rel[x0] = cur
+    return rel

@@ -1,0 +1,196 @@
+"""Runs on state sets and decisions on the compiled automaton, against the
+in/out-node word NFA, the per-pair quotient HDAs, the skeleton
+complements and the two face-based walks kept in oracles.py: same
+verdicts, same printed witnesses."""
+import random
+
+import pytest
+
+from hdalang import (HDA, accepts_word, build, coherent_word,
+                     complement_empty, complement_member,
+                     count_sparse_accepting_paths, discrete_ipomset,
+                     enumerate_wang, identity_step, is_deterministic_language,
+                     parse_ipomset, pre_set, st_of_hda, stauto, word_ipomset)
+from hdalang.hda import _segment_relation
+from hdalang.text import print_ipomset
+
+from fixtures import (a_loop, ab_c_rectangle, branching_square, filled_square,
+                      hda_union, one_letter_chain, parallel_square,
+                      random_hda, random_ipomset, random_up, rectangle_pair,
+                      track_hda, two_lane_loop)
+from oracles import (accepts_word_oracle, complement_empty_oracle,
+                     complement_member_oracle,
+                     count_sparse_accepting_paths_oracle,
+                     enumerate_wang_oracle, is_deterministic_language_oracle,
+                     pre_set_oracle, segment_relation_oracle,
+                     st_of_hda_oracle)
+
+
+def shown(answer):
+    ok, witness = answer
+    if witness is None:
+        return ok, None
+    if isinstance(witness, tuple):
+        return ok, tuple(print_ipomset(w) for w in witness)
+    return ok, print_ipomset(witness)
+
+
+FIXTURES = [filled_square(), branching_square(), parallel_square(), a_loop(),
+            one_letter_chain(), two_lane_loop(), ab_c_rectangle(),
+            ab_c_rectangle(c_first=True), rectangle_pair(),
+            track_hda(discrete_ipomset("abc")),
+            track_hda(parse_ipomset("[a+ b+][a- b][b c+][b- c-]")),
+            hda_union(branching_square(), parallel_square(("v00", "v10")))]
+_rng = random.Random(4401)
+RANDOM = [random_hda(_rng) for _ in range(200)]
+ONE_LETTER = [build(random_up(_rng)) for _ in range(30)]
+SWEEP = FIXTURES + RANDOM + ONE_LETTER
+# pre_set follows every path without repeated cells: on the 3-dimensional
+# one-letter automata of 19 cells or more it takes over 4 s each
+PREFIX_SWEEP = FIXTURES + RANDOM + [x for x in ONE_LETTER
+                                    if len(x.cells) <= 16]
+
+
+def probes(x, rng, n=4, max_events=4):
+    letters = "".join(sorted(x.alphabet))
+    return [random_ipomset(rng, alphabet=letters, max_events=max_events,
+                           max_width=max(x.dim(), 1)) for _ in range(n)]
+
+
+def letter_sequences(x, rng):
+    """Accepted words, coherent words of random ipomsets, the empty word,
+    words of even length, an identity at an odd position, an identity
+    over the wrong conclist, and random strings of the automaton's
+    letters."""
+    a = st_of_hda(x)
+    words = sorted(enumerate_wang(a, 5), key=lambda w: [s.key() for s in w])
+    words = words[:8] + [coherent_word(p) for p in probes(x, rng)]
+    out = [()]
+    for w in words:
+        out.append(w)
+        out.append(w[:-1])
+        out.append(w + (w[-1],))
+        if len(w) >= 3:
+            out.append(w[:1] + (w[0],) + w[2:])
+            wrong = identity_step(w[1].source_conclist())
+            out.append(w[:2] + (wrong,) + w[3:])
+            out.append(w[:2] + (identity_step(("a",) * 3),) + w[3:])
+    letters = sorted({s for _, s, _ in a.transitions}, key=lambda s: s.key())
+    letters += sorted({identity_step(cl) for cl in a.states.values()},
+                      key=lambda s: s.key())
+    for _ in range(20):
+        out.append(tuple(rng.choice(letters)
+                         for _ in range(rng.randint(1, 7))))
+    return out
+
+
+def test_accepts_word_against_the_node_nfa():
+    rng = random.Random(11)
+    kinds = set()
+    for x in SWEEP:
+        a, ref = st_of_hda(x), st_of_hda_oracle(x)
+        for w in letter_sequences(x, rng):
+            verdict = accepts_word(a, w)
+            assert verdict == accepts_word_oracle(ref, w), w
+            kinds.add((verdict, len(w) % 2))
+    assert kinds == {(True, 1), (False, 0), (False, 1)}
+
+
+def test_enumerate_wang_against_the_node_nfa():
+    sizes = 0
+    for x in SWEEP:
+        words = enumerate_wang(st_of_hda(x), 9)
+        assert words == enumerate_wang_oracle(st_of_hda_oracle(x), 9)
+        sizes += len(words)
+    assert sizes > 1000
+    assert enumerate_wang(st_of_hda(filled_square()), 0) == set()
+
+
+def test_pre_set_against_the_face_tables():
+    for x in PREFIX_SWEEP:
+        assert pre_set(x) == pre_set_oracle(x)
+
+
+def test_determinism_against_per_pair_hdas():
+    verdicts = set()
+    for x in PREFIX_SWEEP:
+        answer = shown(is_deterministic_language(x))
+        assert answer == shown(is_deterministic_language_oracle(x))
+        verdicts.add(answer[0])
+    assert verdicts == {True, False}
+
+
+def test_bounded_complements_against_the_skeleton():
+    rng = random.Random(12)
+    verdicts = set()
+    for x in SWEEP:
+        for k in range(x.dim() + 1):
+            answer = shown(complement_empty(x, k))
+            assert answer == shown(complement_empty_oracle(x, k))
+            verdicts.add(answer[0])
+            letters = "".join(sorted(x.alphabet))
+            for _ in range(2):
+                p = random_ipomset(rng, alphabet=letters, max_events=3,
+                                   max_width=max(k, 1))
+                if p.width() > k:
+                    continue
+                answer = shown(complement_member(x, k, p))
+                assert answer == shown(complement_member_oracle(x, k, p))
+                verdicts.add(answer[0])
+    assert verdicts == {True, False}
+
+
+def test_walks_against_the_two_loops():
+    rng = random.Random(13)
+    counts = set()
+    for x in SWEEP:
+        ps = probes(x, rng) + [w for _, w in (
+            stauto.emptiness(st_of_hda(x)),) if w is not None]
+        for p in ps:
+            n = count_sparse_accepting_paths(x, p)
+            assert n == count_sparse_accepting_paths_oracle(x, p)
+            assert _segment_relation(x, p) == segment_relation_oracle(x, p)
+            counts.add(min(n, 2))
+    assert counts == {0, 1, 2}
+    x = two_lane_loop()
+    for n in range(1, 4):
+        p = word_ipomset("abcd" * n)
+        assert count_sparse_accepting_paths(x, p) == 2 ** n
+
+
+# -- no rebuilds -------------------------------------------------------------
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Record every compilation and every HDA construction."""
+    made = {"compiled": [], "hdas": 0}
+    compile_ = stauto._compile
+    init = HDA.__init__
+
+    def compiling(hda):
+        made["compiled"].append(hda)
+        return compile_(hda)
+
+    def constructing(self, *args, **kwargs):
+        made["hdas"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(stauto, "_compile", compiling)
+    monkeypatch.setattr(HDA, "__init__", constructing)
+    return made
+
+
+def test_quotient_pairs_reuse_the_compiled_automaton(builds):
+    x = branching_square()
+    builds["hdas"] = 0
+    assert not is_deterministic_language(x)[0]
+    assert builds == {"compiled": [x], "hdas": 0}
+
+
+def test_complements_below_the_dimension_reuse_the_compiled_automaton(builds):
+    x = filled_square()
+    builds["hdas"] = 0
+    p = parse_ipomset("[a+][a-][b+][b-]")
+    assert complement_member(x, 1, p) == complement_member(x, 1, p)
+    complement_empty(x, 1)
+    assert builds == {"compiled": [x], "hdas": 0}
