@@ -4,9 +4,10 @@ Every command prints a record: ``key=value`` lines in text mode, one JSON
 object with the same keys in json mode.  The first key is always
 ``status`` ("true", "false", or "error"); answers may add ``witness``,
 ``detail``, ``count``, ``i``, ``j``, ``members``, or ``up``.  Exit code 0
-means a true answer or successful write, 1 a false answer, 2 bad input.
-Counts (``-k``, ``-m``, ``-r``) must be non-negative integers; argparse
-rejects any other value with exit code 2.
+means a true answer or successful write, 1 a false answer, 2 bad input
+(status "error"), 3 a failure of the program itself (status "internal",
+the exception as ``detail``).  Counts (``-k``, ``-m``, ``-r``) must be
+non-negative integers; argparse rejects any other value with exit code 2.
 """
 from __future__ import annotations
 
@@ -279,7 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 _INPUT_ERRORS = (ParseError, InvalidIpomset, InterfaceMismatch, InvalidHDA,
                  InvalidSTAutomaton, InvalidUPFunction, WidthExceeded,
-                 IdentityHasNoDenseDecomposition, OSError, ValueError)
+                 IdentityHasNoDenseDecomposition, OSError,
+                 json.JSONDecodeError, UnicodeDecodeError)
 
 
 def main(argv=None) -> int:
@@ -289,6 +291,10 @@ def main(argv=None) -> int:
     except _INPUT_ERRORS as exc:
         _emit({"status": "error", "detail": str(exc)}, args.format)
         return 2
+    except Exception as exc:
+        _emit({"status": "internal", "detail": f"{type(exc).__name__}: {exc}"},
+              args.format)
+        return 3
     _emit(record, args.format)
     return code
 

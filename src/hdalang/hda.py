@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .ipomset import (Ipomset, Problem, Step, StepWord, compose,
                       identity_step, sparse_decomposition, starter,
-                      terminator)
+                      terminator, _merge_word)
 
 
 class InvalidHDA(ValueError):
@@ -234,7 +234,8 @@ def hda_to_dict(hda: HDA) -> dict:
 def hda_from_dict(data: dict) -> HDA:
     """Load the ``.hda`` layout.  ``events``, ``d0``, ``d1``, ``start``,
     ``accept`` and ``alphabet`` must be lists of strings; any that is not
-    is reported as a FieldType problem of InvalidHDA."""
+    is reported as a FieldType problem of InvalidHDA, and data of another
+    shape (a missing key, a cell that is no object) as a Malformed one."""
     problems: list[Problem] = []
 
     def strings(value, field: str) -> tuple[str, ...]:
@@ -254,7 +255,8 @@ def hda_from_dict(data: dict) -> HDA:
         accept = strings(data["accept"], "accept")
         alphabet = strings(data.get("alphabet", []), "alphabet")
     except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed automaton data: {exc}") from None
+        raise InvalidHDA([Problem("Malformed", (), "malformed automaton "
+                                  f"data: {exc}")]) from None
     if problems:
         raise InvalidHDA(problems)
     return HDA(cells, start, accept, alphabet)
@@ -324,6 +326,13 @@ def validate_path(hda: HDA, path: Path) -> str:
     return cur
 
 
+def _move_step(hda: HDA, cur: str, m: Move) -> Step:
+    """The step that the nonempty move ``m`` out of cell ``cur`` observes."""
+    if m.direction == "up":
+        return starter(hda.cells[m.target].events, m.positions)
+    return terminator(hda.cells[cur].events, m.positions)
+
+
 def ev(hda: HDA, path: Path) -> Ipomset:
     """The ipomset a path observes."""
     validate_path(hda, path)
@@ -331,19 +340,10 @@ def ev(hda: HDA, path: Path) -> Ipomset:
     steps: list[Step] = [identity_step(hda.cells[path.origin].events)]
     for m in path.moves:
         if m.positions:
-            if m.direction == "up":
-                steps.append(starter(hda.cells[m.target].events, m.positions))
-            else:
-                steps.append(terminator(hda.cells[cur].events, m.positions))
+            steps.append(_move_step(hda, cur, m))
         cur = m.target
     steps.append(identity_step(hda.cells[cur].events))
     return compose(StepWord(steps))
-
-
-def _embed(removed: frozenset[int], n: int) -> list[int]:
-    """Positions of the surviving coordinates of an n-cell after removing
-    ``removed``: the image of coordinate i of the face is _embed(...)[i]."""
-    return [p for p in range(n) if p not in removed]
 
 
 def sparsify(hda: HDA, path: Path) -> Path:
@@ -351,27 +351,16 @@ def sparsify(hda: HDA, path: Path) -> Path:
     observes the same ipomset and alternates nonempty up and down moves."""
     validate_path(hda, path)
     cur = path.origin
-    out: list[Move] = []
-    prev = [cur]  # source cell of each accumulated move
-
+    out: list[tuple[Move, Step]] = []  # each move with the step it observes
     for m in path.moves:
-        if not m.positions:
-            cur = m.target
-            continue
-        if out and out[-1].direction == m.direction == "up":
-            emb = _embed(m.positions, hda.cells[m.target].dim)
-            merged = m.positions | {emb[p] for p in out[-1].positions}
-            out[-1] = Move("up", merged, m.target)
-        elif out and out[-1].direction == m.direction == "down":
-            src = prev[-1]
-            emb = _embed(out[-1].positions, hda.cells[src].dim)
-            merged = out[-1].positions | {emb[p] for p in m.positions}
-            out[-1] = Move("down", merged, m.target)
-        else:
-            prev.append(cur)
-            out.append(m)
+        if m.positions:
+            step = _move_step(hda, cur, m)
+            if out and out[-1][0].direction == m.direction:
+                step = _merge_word((out.pop()[1], step))[0]
+                m = Move(m.direction, step.marked, m.target)
+            out.append((m, step))
         cur = m.target
-    return Path(path.origin, tuple(out))
+    return Path(path.origin, tuple(m for m, _ in out))
 
 
 def path_accepts(hda: HDA, path: Path) -> bool:

@@ -16,11 +16,12 @@ Every ipomset made from a step word comes from ``compose``: it walks
 the word once, giving each event the step that starts it and the step
 that terminates it (x precedes y when x is terminated before y is
 started), and the result carries the word with identities dropped and
-neighbouring steps of one kind merged, which is its sparse
-decomposition.  Keys, widths and printing of composed ipomsets read
-that word; ipomsets built from raw relations find it by a greedy
-simulation instead.  ``glue`` is ``compose`` of the two operands'
-sparse words.
+neighbouring steps of one kind merged (``_merge_word``), which is its
+sparse decomposition.  Ipomsets built from raw relations find it once by
+greedy simulation and keep it.  Keys, widths and printing read that
+word; ``glue`` composes the operands' words, dense words split its
+steps, and ``supersumptions`` composes alternating words over p's own
+events.  ``_letters`` generates the steps leaving a conclist.
 """
 from __future__ import annotations
 
@@ -173,7 +174,7 @@ class Ipomset:
         self.event_order = ev
         self.source = source
         self.target = target
-        self._word = None  # the sparse decomposition, set by compose
+        self._word = None  # the sparse decomposition, once known
         self._key = None
         self._hash = None
 
@@ -499,11 +500,11 @@ def sparse_decomposition(p: Ipomset) -> StepWord:
     """The unique step word for p in which nonidentity starters and
     terminators strictly alternate.
 
-    Composed ipomsets carry it.  Others are decomposed by greedy
-    simulation: start every event whose predecessors have all terminated,
-    then terminate every started event all of whose concurrent partners
-    have started.  Maximality of each phase is forced by alternation,
-    which gives uniqueness.
+    Composed ipomsets carry it.  Others are decomposed once by greedy
+    simulation, and keep the result: start every event whose predecessors
+    have all terminated, then terminate every started event all of whose
+    concurrent partners have started.  Maximality of each phase is forced
+    by alternation, which gives uniqueness.
     """
     if p._word is not None:
         return p._word
@@ -531,46 +532,32 @@ def sparse_decomposition(p: Ipomset) -> StepWord:
     if not steps:
         _, labels = _conclist_of(p, p.source)
         steps.append(identity_step(labels))
-    return StepWord(steps)
+    p._word = StepWord(steps)
+    return p._word
 
 
 def dense_decomposition(p: Ipomset) -> StepWord:
-    """An elementary step word of length exactly 2*size(p).
+    """An elementary step word of length exactly 2*size(p): each sparse
+    step split into single starts or terminations, top to bottom.
 
-    Deterministic tie-break: while any event can start, start the one
-    least in event order; otherwise terminate the terminable event least
-    in event order.
-    """
+    This is the word that starts the topmost startable event while any
+    can start, else terminates the topmost terminable one: no start makes
+    another event startable, and what a terminator's terminations make
+    startable is preceded by all of that terminator's events."""
     if p.is_identity():
         raise IdentityHasNoDenseDecomposition(
             "identities have size 0 and admit no elementary decomposition")
-    started = set(p.source)
-    terminated: set[int] = set()
     steps: list[Step] = []
-
-    def least(cands: list[int]) -> int:
-        idx = p._sorted_by_event_order(cands)
-        return idx[0]
-
-    while True:
-        a = _startable(p, started, terminated)
-        if a:
-            x = least(a)
-            started.add(x)
-            idx, labels = _conclist_of(p, started - terminated)
-            steps.append(starter(labels, {idx.index(x)}))
-            continue
-        b = _terminable(p, started, terminated)
-        if b:
-            x = least(b)
-            idx, labels = _conclist_of(p, started - terminated)
-            steps.append(terminator(labels, {idx.index(x)}))
-            terminated.add(x)
-            continue
-        break
-    word = StepWord(steps)
-    assert len(word) == 2 * p.size(), "elementary decomposition has wrong length"
-    return word
+    for step in sparse_decomposition(p):
+        marked = sorted(step.marked)
+        for i, m in enumerate(marked):
+            if step.kind == "starter":  # the marks below m start later
+                steps.append(starter([l for j, l in enumerate(step.conclist)
+                                      if j not in marked[i + 1:]], {m}))
+            else:  # the marks above m have terminated
+                steps.append(terminator([l for j, l in enumerate(step.conclist)
+                                         if j not in marked[:i]], {m - i}))
+    return StepWord(steps)
 
 
 # --------------------------------------------------------------------------
@@ -640,37 +627,57 @@ def in_down_closure(p: Ipomset, generators: Iterable[Ipomset]) -> bool:
 
 
 def supersumptions(p: Ipomset, k: int) -> list[Ipomset]:
-    """All ipomsets of width <= k that subsume p, up to isomorphism.
+    """All ipomsets of width <= k that subsume p, up to isomorphism,
+    sorted by key.
 
-    Enumerates transitive subsets of p's precedence as candidate reduced
-    orders, orients each newly concurrent pair both ways, keeps the event
-    order forced on pairs already concurrent in p, validates, and filters
-    through ``subsumes``.  Exponential; intended for desk-scale events.
+    Each composes an alternating step word over p's events.  Starters
+    start events within width k, keeping the running order and p's event
+    order on pairs concurrent in p; terminators end running non-target
+    events that precede every unstarted one in p, so the identity on
+    events witnesses the subsumption.  Exponential; for desk-scale events.
     """
     if p.width() > k:
         raise WidthExceeded(f"width {p.width()} exceeds bound {k}")
-    pairs = sorted(p.precedence)
-    forced = [(x, y) for (x, y) in p.event_order if p.concurrent(x, y)]
+    forced = {(x, y) for (x, y) in p.event_order if p.concurrent(x, y)}
     seen: dict[tuple, Ipomset] = {}
-    for keep_mask in range(1 << len(pairs)):
-        kept = {pairs[i] for i in range(len(pairs)) if keep_mask >> i & 1}
-        if any((a, c) not in kept
-               for (a, b) in kept for (b2, c) in kept if b == b2 and a != c):
-            continue
-        dropped = {frozenset((a, b)) for (a, b) in set(pairs) - kept
-                   if (a, b) not in kept and (b, a) not in kept}
-        dropped = sorted(tuple(sorted(d)) for d in dropped)
-        for bits in range(1 << len(dropped)):
-            order = list(forced)
-            for i, (a, b) in enumerate(dropped):
-                order.append((a, b) if bits >> i & 1 == 0 else (b, a))
-            try:
-                q = Ipomset(p.labels, kept, order, p.source, p.target)
-            except InvalidIpomset:
-                continue
-            if q.width() <= k and subsumes(p, q) and q.key() not in seen:
-                seen[q.key()] = q
-    return sorted(seen.values(), key=lambda q: q.key())
+
+    def conclist(running: list[int]) -> tuple[str, ...]:
+        return tuple(p.labels[e] for e in running)
+
+    def placements(running: list[int], new: tuple[int, ...]) -> list[list[int]]:
+        lists = [running]
+        for y in new:  # below every event forced above y, and vice versa
+            lists = [l[:i] + [y] + l[i:] for l in lists for i in range(len(l) + 1)
+                     if not any((x, y) in forced for x in l[i:])
+                     and not any((y, x) in forced for x in l[:i])]
+        return lists
+
+    def walk(running: list[int], unstarted: frozenset[int],
+             steps: tuple[Step, ...], last: str) -> None:
+        if not unstarted and len(running) == len(p.target):
+            key = tuple(s.key() for s in steps)  # the word is sparse
+            if key not in seen:
+                seen[key] = compose(steps or (identity_step(conclist(running)),))
+        if last != "terminator":
+            ends = [i for i, x in enumerate(running) if x not in p.target
+                    and all((x, u) in p.precedence for u in unstarted)]
+            for r in range(1, len(ends) + 1):
+                for marked in itertools.combinations(ends, r):
+                    step = terminator(conclist(running), marked)
+                    walk([e for i, e in enumerate(running) if i not in marked],
+                         unstarted, steps + (step,), "terminator")
+        if last != "starter":
+            for r in range(1, min(k - len(running), len(unstarted)) + 1):
+                for new in itertools.combinations(sorted(unstarted), r):
+                    for order in placements(running, new):
+                        step = starter(conclist(order), [
+                            i for i, e in enumerate(order) if e in new])
+                        walk(order, unstarted.difference(new),
+                             steps + (step,), "starter")
+
+    walk(list(p._sorted_by_event_order(p.source)),
+         frozenset(p.events()) - p.source, (), "")
+    return [seen[key] for key in sorted(seen)]
 
 
 # --------------------------------------------------------------------------
@@ -700,19 +707,22 @@ EMPTY = identity_ipomset(())
 # --------------------------------------------------------------------------
 # enumeration (oracle helper for tests and for the complement sweeps)
 
-def _insertions(base: tuple[str, ...], m: int, alphabet: Sequence[str]
-                ) -> Iterator[tuple[tuple[str, ...], frozenset[int]]]:
-    """All conclists obtained from ``base`` by inserting m fresh labelled
-    events, with the positions of the new events."""
-    total = len(base) + m
-    for new_pos in itertools.combinations(range(total), m):
-        for labs in itertools.product(alphabet, repeat=m):
-            out: list[str] = []
-            old = iter(base)
-            new = iter(labs)
-            for i in range(total):
-                out.append(next(new) if i in new_pos else next(old))
-            yield tuple(out), frozenset(new_pos)
+def _letters(conclist: tuple[str, ...], alphabet: Sequence[str],
+             room: int) -> Iterator[Step]:
+    """Every nonidentity step from ``conclist`` that starts at most
+    ``room`` fresh events labelled from ``alphabet``: the terminators by
+    size and marks, then the starters by how many events they start,
+    where and with which labels."""
+    n = len(conclist)
+    for r in range(1, n + 1):
+        for marked in itertools.combinations(range(n), r):
+            yield terminator(conclist, marked)
+    for m in range(1, room + 1):
+        for new_pos in itertools.combinations(range(n + m), m):
+            for labs in itertools.product(alphabet, repeat=m):
+                new, old = iter(labs), iter(conclist)
+                yield starter(tuple(next(new) if i in new_pos else next(old)
+                                    for i in range(n + m)), new_pos)
 
 
 def enumerate_ipomsets(alphabet: Sequence[str], max_events: int,
@@ -730,22 +740,13 @@ def enumerate_ipomsets(alphabet: Sequence[str], max_events: int,
     def walk(conclist: tuple[str, ...], steps: tuple[Step, ...],
              used: int, last: str) -> Iterator[tuple[Step, ...]]:
         yield steps
-        if last != "terminator" and conclist:
-            for rm in range(1, len(conclist) + 1):
-                for marked in itertools.combinations(range(len(conclist)), rm):
-                    st = terminator(conclist, marked)
-                    yield from walk(st.target_conclist(), steps + (st,),
-                                    used, "terminator")
-        if last != "starter":
-            room = min(max_events - used, width - len(conclist))
-            for add in range(1, room + 1):
-                for new_cl, pos in _insertions(conclist, add, alphabet):
-                    st = starter(new_cl, pos)
-                    yield from walk(new_cl, steps + (st,), used + add, "starter")
+        room = 0 if last == "starter" else min(max_events - used,
+                                               width - len(conclist))
+        for st in _letters(conclist, alphabet, room):
+            if st.kind != last:
+                yield from walk(st.target_conclist(), steps + (st,),
+                                used + len(st.conclist) - len(conclist), st.kind)
 
     for src in sources:
         for steps in walk(src, (), len(src), ""):
-            if steps:
-                yield compose(StepWord(steps))
-            else:
-                yield identity_ipomset(src)
+            yield compose(steps or (identity_step(src),))

@@ -107,7 +107,7 @@ def parse_up(text: str) -> UPFunction:
 
     def number(key: str) -> int:
         value, at = fields[key]
-        if not value.isdigit():
+        if not value.isdecimal():
             raise ParseError(at, f"{key} must be a number, got {value!r}")
         return int(value)
 
@@ -115,7 +115,7 @@ def parse_up(text: str) -> UPFunction:
     f_text, f_at = fields["f"]
     f = []
     for part in f_text.split(","):
-        if not part.isdigit():
+        if not part.isdecimal():
             raise ParseError(f_at, f"bad f entry {part!r}")
         f.append(int(part))
     tau_text, tau_at = fields["tau"]
@@ -126,7 +126,7 @@ def parse_up(text: str) -> UPFunction:
         inner = part[1:-1]
         if inner:
             entries = inner.split(",")
-            if not all(e.isdigit() for e in entries):
+            if not all(e.isdecimal() for e in entries):
                 raise ParseError(tau_at, f"bad tau entry {part!r}")
             tau.append(frozenset(int(e) for e in entries))
         else:

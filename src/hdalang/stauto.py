@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .ipomset import (Ipomset, Problem, Step, StepWord, compose, identity_step,
-                      sparse_decomposition, starter, terminator, _insertions)
+                      sparse_decomposition, starter, terminator, _letters)
 from .hda import HDA, composite_faces
 
 
@@ -279,34 +279,13 @@ def _all_conclists(alphabet: Iterable[str], k: int) -> list[tuple[str, ...]]:
 
 def match_automaton(alphabet: Iterable[str], k: int) -> STAutomaton:
     """Recognises every ipomset of width at most k over the alphabet."""
-    conclists = _all_conclists(alphabet, k)
-    states = {_conclist_id(cl): cl for cl in conclists}
-    transitions = []
-    for cl in conclists:
-        n = len(cl)
-        for r in range(1, n + 1):
-            for marked in itertools.combinations(range(n), r):
-                up = starter(cl, marked)
-                down = terminator(cl, marked)
-                transitions.append(
-                    (_conclist_id(up.source_conclist()), up, _conclist_id(cl)))
-                transitions.append(
-                    (_conclist_id(cl), down,
-                     _conclist_id(down.target_conclist())))
+    letters = sorted(alphabet)
+    states = {_conclist_id(cl): cl for cl in _all_conclists(letters, k)}
+    transitions = [(sid, s, _conclist_id(s.target_conclist()))
+                   for sid, cl in states.items()
+                   for s in _letters(cl, letters, k - len(cl))]
     return STAutomaton(alphabet, states, transitions,
                        states.keys(), states.keys(), width_bound=k)
-
-
-def _width_letters(conclist: tuple[str, ...], alphabet: Sequence[str],
-                   k: int) -> Iterator[Step]:
-    """Every nonidentity step leaving ``conclist`` within width k."""
-    n = len(conclist)
-    for r in range(1, n + 1):
-        for marked in itertools.combinations(range(n), r):
-            yield terminator(conclist, marked)
-    for add in range(1, k - n + 1):
-        for new_cl, pos in _insertions(conclist, add, alphabet):
-            yield starter(new_cl, pos)
 
 
 def complement_words(a: STAutomaton, width: int | None = None) -> STAutomaton:
@@ -342,7 +321,7 @@ def complement_words(a: STAutomaton, width: int | None = None) -> STAutomaton:
         sid = state_id(cl, dset)
         if not (dset & a.final):
             final.append(sid)
-        for letter in _width_letters(cl, letters, k):
+        for letter in _letters(cl, letters, k - len(cl)):
             nxt = _post(a, dset, letter)
             target_cl = letter.target_conclist()
             tid = state_id(target_cl, nxt)

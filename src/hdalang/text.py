@@ -19,8 +19,8 @@ same ipomset are accepted and normalise on printing.
 from __future__ import annotations
 
 from .ipomset import (Ipomset, ParseError, Step, StepWord, compose,
-                      identity_ipomset, sparse_decomposition, starter,
-                      terminator, identity_step)
+                      sparse_decomposition, starter, terminator,
+                      identity_step)
 
 _LABEL_CHARS = frozenset(
     "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_")

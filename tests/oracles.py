@@ -15,16 +15,21 @@ as the library did before it stepped plain state sets; quotient pairs
 get HDAs of their own and bounded complements run on the skeleton, as
 the library did before it asked both of the automaton compiled once.
 The weighted walks are the two loops the library had before it shared
-one.
+one.  Dense words come from a simulation of their own, ``sparsify`` merges
+moves by hand, ``supersumptions`` filters subsets of the precedence and
+orientations of the pairs it drops, and the letters within width k are
+generated by separate loops, as the library did before it split, merged
+and generated step words one way each.
 """
 import itertools
 from collections import deque
 
-from hdalang import (HDA, InterfaceMismatch, Ipomset, Problem, STAutomaton,
-                     StepWord, coherent_word, complement_words, compose,
-                     face, identity_step, skeleton,
-                     sparse_decomposition, starter, subsumes, supersumptions,
-                     terminator, word_ipomset_of)
+from hdalang import (HDA, IdentityHasNoDenseDecomposition, InterfaceMismatch,
+                     InvalidIpomset, Ipomset, Move, Path, Problem, STAutomaton,
+                     StepWord, WidthExceeded, coherent_word, complement_words,
+                     compose, face, identity_ipomset, identity_step, skeleton,
+                     sparse_decomposition, starter, subsumes, terminator,
+                     validate_path, word_ipomset_of)
 from hdalang.hda import composite_faces, reachable
 
 
@@ -450,7 +455,7 @@ def is_deterministic_language_oracle(x):
 
 def complement_member_oracle(x, k, p):
     a = st_of_hda_oracle(skeleton(x, k))
-    for q in supersumptions(p, k):
+    for q in supersumptions_oracle(p, k):
         if not member_oracle(a, q):
             return True, q
     return False, None
@@ -513,3 +518,173 @@ def segment_relation_oracle(hda, q):
         if cur:
             rel[x0] = cur
     return rel
+
+
+# --------------------------------------------------------------------------
+# step words: the dense simulation, the hand merge of moves, the subset
+# search for supersumptions and the separate letter loops
+
+def dense_decomposition_oracle(p):
+    """Simulation on the relations: while any event can start, start the
+    one least in event order; otherwise terminate the terminable event
+    least in event order."""
+    if p.is_identity():
+        raise IdentityHasNoDenseDecomposition(
+            "identities have size 0 and admit no elementary decomposition")
+
+    def concurrent(x, y):
+        return x != y and (x, y) not in p.precedence and (y, x) not in p.precedence
+
+    started, terminated = set(p.source), set()
+    steps = []
+    while True:
+        a = [x for x in p.events() if x not in started and all(
+            y in terminated for (y, z) in p.precedence if z == x)]
+        b = [x for x in started if x not in terminated and x not in p.target
+             and all(y in started for y in p.events() if concurrent(x, y))]
+        if not a and not b:
+            break
+        x = _by_event_order(p, a or b)[0]
+        if a:
+            started.add(x)
+        idx = _by_event_order(p, started - terminated)
+        labels = tuple(p.labels[i] for i in idx)
+        if a:
+            steps.append(starter(labels, {idx.index(x)}))
+        else:
+            steps.append(terminator(labels, {idx.index(x)}))
+            terminated.add(x)
+    word = StepWord(steps)
+    assert len(word) == 2 * p.size()
+    return word
+
+
+def sparsify_oracle(hda, path):
+    """Merge adjacent same-direction moves by index bookkeeping: a merged
+    up move lifts the earlier positions through the later cell's
+    surviving coordinates, a merged down move lifts the later positions
+    through the earlier source cell's."""
+    validate_path(hda, path)
+
+    def embed(removed, n):
+        return [i for i in range(n) if i not in removed]
+
+    cur = path.origin
+    out = []
+    prev = [cur]  # source cell of each accumulated move
+    for m in path.moves:
+        if not m.positions:
+            cur = m.target
+            continue
+        if out and out[-1].direction == m.direction == "up":
+            emb = embed(m.positions, hda.cells[m.target].dim)
+            merged = m.positions | {emb[i] for i in out[-1].positions}
+            out[-1] = Move("up", merged, m.target)
+        elif out and out[-1].direction == m.direction == "down":
+            emb = embed(out[-1].positions, hda.cells[prev[-1]].dim)
+            merged = out[-1].positions | {emb[i] for i in m.positions}
+            out[-1] = Move("down", merged, m.target)
+        else:
+            prev.append(cur)
+            out.append(m)
+        cur = m.target
+    return Path(path.origin, tuple(out))
+
+
+def supersumptions_oracle(p, k):
+    """Every transitive subset of p's precedence as the candidate's
+    precedence, every orientation of the pairs it drops with the event
+    order forced on pairs concurrent in p, each candidate validated,
+    decomposed and checked with ``subsumes``; deduplicated by key and
+    sorted."""
+    if p.width() > k:
+        raise WidthExceeded(f"width {p.width()} exceeds bound {k}")
+    pairs = sorted(p.precedence)
+    forced = [(x, y) for (x, y) in p.event_order if p.concurrent(x, y)]
+    seen = {}
+    for keep_mask in range(1 << len(pairs)):
+        kept = {pairs[i] for i in range(len(pairs)) if keep_mask >> i & 1}
+        if any((a, c) not in kept
+               for (a, b) in kept for (b2, c) in kept if b == b2 and a != c):
+            continue
+        dropped = sorted({tuple(sorted(pair)) for pair in set(pairs) - kept})
+        for bits in range(1 << len(dropped)):
+            order = list(forced)
+            for i, (a, b) in enumerate(dropped):
+                order.append((a, b) if bits >> i & 1 == 0 else (b, a))
+            try:
+                q = Ipomset(p.labels, kept, order, p.source, p.target)
+            except InvalidIpomset:
+                continue
+            if q.width() <= k and subsumes(p, q) and q.key() not in seen:
+                seen[q.key()] = q
+    return sorted(seen.values(), key=lambda q: q.key())
+
+
+def _insertions_oracle(base, m, alphabet):
+    total = len(base) + m
+    for new_pos in itertools.combinations(range(total), m):
+        for labs in itertools.product(alphabet, repeat=m):
+            out, old, new = [], iter(base), iter(labs)
+            for i in range(total):
+                out.append(next(new) if i in new_pos else next(old))
+            yield tuple(out), frozenset(new_pos)
+
+
+def width_letters_oracle(conclist, alphabet, k):
+    """Every nonidentity step leaving ``conclist`` within width k."""
+    n = len(conclist)
+    for r in range(1, n + 1):
+        for marked in itertools.combinations(range(n), r):
+            yield terminator(conclist, marked)
+    for add in range(1, k - n + 1):
+        for new_cl, pos in _insertions_oracle(conclist, add, alphabet):
+            yield starter(new_cl, pos)
+
+
+def enumerate_ipomsets_oracle(alphabet, max_events, max_width=None):
+    """The sparse-word walk with terminators and starters generated by
+    loops of its own."""
+    width = max_events if max_width is None else min(max_width, max_events)
+    sources = [c for n in range(width + 1)
+               for c in itertools.product(alphabet, repeat=n)]
+
+    def walk(conclist, steps, used, last):
+        yield steps
+        if last != "terminator" and conclist:
+            for rm in range(1, len(conclist) + 1):
+                for marked in itertools.combinations(range(len(conclist)), rm):
+                    st = terminator(conclist, marked)
+                    yield from walk(st.target_conclist(), steps + (st,),
+                                    used, "terminator")
+        if last != "starter":
+            room = min(max_events - used, width - len(conclist))
+            for add in range(1, room + 1):
+                for new_cl, pos in _insertions_oracle(conclist, add, alphabet):
+                    st = starter(new_cl, pos)
+                    yield from walk(new_cl, steps + (st,), used + add, "starter")
+
+    for src in sources:
+        for steps in walk(src, (), len(src), ""):
+            yield compose(StepWord(steps)) if steps else identity_ipomset(src)
+
+
+def match_automaton_oracle(alphabet, k):
+    """One state per conclist; every starter into it and every
+    terminator out of it."""
+    def sid(cl):
+        return "(" + " ".join(cl) + ")"
+
+    letters = sorted(alphabet)
+    conclists = [cl for n in range(k + 1)
+                 for cl in itertools.product(letters, repeat=n)]
+    states = {sid(cl): cl for cl in conclists}
+    transitions = []
+    for cl in conclists:
+        for r in range(1, len(cl) + 1):
+            for marked in itertools.combinations(range(len(cl)), r):
+                up, down = starter(cl, marked), terminator(cl, marked)
+                transitions.append((sid(up.source_conclist()), up, sid(cl)))
+                transitions.append((sid(cl), down, sid(down.target_conclist())))
+    return STAutomaton(alphabet, states, transitions,
+                       states.keys(), states.keys(), width_bound=k)

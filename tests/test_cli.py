@@ -257,3 +257,44 @@ def test_zero_width_is_valid(capsys, tmp_path):
     code, record = run(capsys, "complement-empty",
                        f"{DATA}/filled_square.hda", "-k", "0")
     assert code == 1 and record["witness"] == "[]"
+
+
+# -- bad input against internal failures --------------------------------------------
+
+def test_internal_failures_exit_three(capsys, monkeypatch):
+    def broken(*args):
+        raise ValueError("an invariant does not hold")
+
+    monkeypatch.setattr("hdalang.decide.member", broken)
+    code, record = run(capsys, "member", f"{DATA}/filled_square.hda",
+                       "[a+][a-]")
+    assert code == 3
+    assert record == {"status": "internal",
+                      "detail": "ValueError: an invariant does not hold"}
+
+
+@pytest.mark.parametrize("text", ['{"start": [], "accept": []}', "[1, 2]",
+                                  '{"cells": [5], "start": [], "accept": []}'])
+def test_automaton_data_of_another_shape_is_bad_input(capsys, tmp_path, text):
+    bad = tmp_path / "bad.hda"
+    bad.write_text(text)
+    code, record = run(capsys, "validate", str(bad))
+    assert code == 1 and record["status"] == "false"
+    assert record["detail"].startswith("Malformed: malformed automaton data")
+    code, record = run(capsys, "member", str(bad), "[a+][a-]")
+    assert code == 2 and record["status"] == "error"
+    assert "Malformed" in record["detail"]
+
+
+@pytest.mark.parametrize("raw", [b"{not json", b'{"cells": "\xff"}'])
+def test_undecodable_files_are_bad_input(capsys, tmp_path, raw):
+    bad = tmp_path / "bad.hda"
+    bad.write_bytes(raw)
+    code, record = run(capsys, "validate", str(bad))
+    assert code == 2 and record["status"] == "error"
+
+
+def test_superscript_digits_are_a_parse_error(capsys, tmp_path):
+    code, record = run(capsys, "oneletter", "build", "r=² s=0 f=1 tau={}",
+                       "-o", str(tmp_path / "x.hda"))
+    assert code == 2 and record["status"] == "error"

@@ -12,8 +12,9 @@ from hypothesis import given, settings, strategies as st
 
 import hdalang.ipomset
 from hdalang import (InterfaceMismatch, Ipomset, Step, StepWord, coherent_word,
-                     compose, glue, identity_step, parse_ipomset,
-                     print_ipomset, sparse_decomposition)
+                     compose, dense_decomposition, glue, identity_step,
+                     parse_ipomset, print_ipomset, sparse_decomposition,
+                     supersumptions)
 from hdalang.text import parse_step_word, print_step_word
 
 from fixtures import random_ipomset, random_step_word
@@ -155,3 +156,25 @@ def test_composed_ipomsets_read_their_word_not_the_relations(monkeypatch):
     assert p.width() == 2 and len(coherent_word(p)) == 2 * 14 + 1
     with pytest.raises(AssertionError):
         sparse_decomposition(rebuilt(p))
+    assert len(dense_decomposition(parse_ipomset("[a+][a-]" * 50))) == 100
+    p.key()
+    assert len(supersumptions(p, 2)) == 405
+
+
+def test_relation_built_ipomsets_are_simulated_once(monkeypatch):
+    calls = []
+    startable = hdalang.ipomset._startable
+
+    def counting(*args):
+        calls.append(1)
+        return startable(*args)
+
+    monkeypatch.setattr(hdalang.ipomset, "_startable", counting)
+    q = rebuilt(parse_ipomset("[a+ b+][a- b][b c+][b- c-]" * 2))
+    word = sparse_decomposition(q)
+    once = len(calls)
+    assert once and q._word is word
+    assert q.width() == 2 and print_ipomset(q) == print_step_word(word)
+    dense_decomposition(q)
+    assert len(supersumptions(q, 2)) > 1
+    assert len(calls) == once
