@@ -232,25 +232,36 @@ def hda_to_dict(hda: HDA) -> dict:
 
 
 def hda_from_dict(data: dict) -> HDA:
-    """Load the ``.hda`` layout.  ``events``, ``d0``, ``d1``, ``start``,
-    ``accept`` and ``alphabet`` must be lists of strings; any that is not
-    is reported as a FieldType problem of InvalidHDA, and data of another
-    shape (a missing key, a cell that is no object) as a Malformed one."""
+    """Load the ``.hda`` layout.  Cell ids must be strings, and ``events``,
+    ``d0``, ``d1``, ``start``, ``accept`` and ``alphabet`` lists of
+    strings; any that is not is reported as a FieldType problem of
+    InvalidHDA, and data of another shape (a missing key, a cell that is
+    no object) as a Malformed one."""
     problems: list[Problem] = []
+
+    def wrong(value, field: str, kind: str) -> None:
+        problems.append(Problem("FieldType", (field,), f"{field} must be "
+                                f"{kind}, got {value!r}"))
+
+    def string(value, field: str) -> str:
+        if isinstance(value, str):
+            return value
+        wrong(value, field, "a string")
+        return ""
 
     def strings(value, field: str) -> tuple[str, ...]:
         if (isinstance(value, (list, tuple))
                 and all(isinstance(v, str) for v in value)):
             return tuple(value)
-        problems.append(Problem("FieldType", (field,), f"{field} must be "
-                                f"a list of strings, got {value!r}"))
+        wrong(value, field, "a list of strings")
         return ()
 
     try:
-        cells = [Cell(str(c["id"]), strings(c["events"], f"events of {c['id']!r}"),
+        cells = [Cell(string(c["id"], f"id of cell {i}"),
+                      strings(c["events"], f"events of {c['id']!r}"),
                       strings(c["d0"], f"d0 of {c['id']!r}"),
                       strings(c["d1"], f"d1 of {c['id']!r}"))
-                 for c in data["cells"]]
+                 for i, c in enumerate(data["cells"])]
         start = strings(data["start"], "start")
         accept = strings(data["accept"], "accept")
         alphabet = strings(data.get("alphabet", []), "alphabet")
@@ -269,8 +280,15 @@ def dump_hda(hda: HDA, path: str) -> None:
 
 
 def load_hda(path: str) -> HDA:
+    """Read a ``.hda`` file.  Text that is no JSON, or JSON nested too
+    deeply for the parser, raises json.JSONDecodeError."""
     with open(path, encoding="utf-8") as fp:
-        return hda_from_dict(json.load(fp))
+        text = fp.read()
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise json.JSONDecodeError("nested too deeply", text, 0) from None
+    return hda_from_dict(data)
 
 
 # --------------------------------------------------------------------------

@@ -8,20 +8,24 @@ extremal, and isomorphic ipomsets are treated as equal (there is at most
 one isomorphism between two ipomsets, so this is sound).
 
 Events are addressed by index 0..n-1; labels live in ``labels``.  Both
-relations are stored transitively closed.  The canonical form of an
-ipomset is its sparse step decomposition, which also serves as equality
-and hash key.
+relations read transitively closed.  The canonical form of an ipomset is
+its sparse step decomposition, which also serves as equality and hash
+key.
 
 Every ipomset made from a step word comes from ``compose``: it walks
-the word once, giving each event the step that starts it and the step
-that terminates it (x precedes y when x is terminated before y is
-started), and the result carries the word with identities dropped and
+the word once and keeps the ipomset in interval form (Fishburn): each
+event's start and end step, x preceding y exactly when x ends at an
+earlier step than y starts, and the covering pairs of the event order.
+A chaining word always gives a valid interval ipomset, so nothing is
+closed or checked; ``precedence`` and ``event_order`` are derived on
+first read.  The result carries the word with identities dropped and
 neighbouring steps of one kind merged (``_merge_word``), which is its
-sparse decomposition.  Ipomsets built from raw relations find it once by
-greedy simulation and keep it.  Keys, widths and printing read that
-word; ``glue`` composes the operands' words, dense words split its
-steps, and ``supersumptions`` composes alternating words over p's own
-events.  ``_letters`` generates the steps leaving a conclist.
+sparse decomposition.  Ipomsets built from raw relations are closed and
+validated, and find that word once by greedy simulation and keep it.
+Keys, widths, interfaces and printing read the word; ``glue`` composes
+the operands' words, dense words split its steps, and ``supersumptions``
+composes alternating words over p's own events.  ``_letters`` generates
+the steps leaving a conclist.
 """
 from __future__ import annotations
 
@@ -149,19 +153,33 @@ def validate_ipomset(labels, precedence=(), event_order=(),
 # the ipomset value
 
 class Ipomset:
-    """An interval pomset with interfaces, validated at construction."""
+    """An interval pomset with interfaces.
+
+    Built from raw relations, it is closed and validated at construction
+    and keeps both closures.  ``compose`` passes the private ``_composed``
+    (start steps, end steps, merged word) and the covering pairs as
+    ``event_order``; that ipomset is valid by construction and keeps this
+    interval form, from which ``precedence`` and ``event_order`` are
+    derived on first read and then kept.
+    """
 
     __slots__ = ("labels", "precedence", "event_order", "source", "target",
-                 "_word", "_key", "_hash")
+                 "_cover", "_starts", "_ends", "_word", "_key", "_hash")
 
     def __init__(self, labels: Sequence[str], precedence=(), event_order=(),
-                 source=(), target=()):
-        labels = tuple(labels)
+                 source=(), target=(), *, _composed=None):
+        self.labels = labels = tuple(labels)
+        self.source = source = frozenset(source)
+        self.target = target = frozenset(target)
+        self._key = None
+        self._hash = None
+        if _composed is not None:
+            self._cover = event_order
+            self._starts, self._ends, self._word = _composed
+            return
         n = len(labels)
         prec = _closure(n, precedence)
         ev = _closure(n, event_order)
-        source = frozenset(source)
-        target = frozenset(target)
         for s in (source, target):
             for x in s:
                 if not (0 <= x < n):
@@ -169,14 +187,25 @@ class Ipomset:
         problems = _problems(labels, prec, ev, source, target)
         if problems:
             raise InvalidIpomset(problems)
-        self.labels = labels
         self.precedence = prec
         self.event_order = ev
-        self.source = source
-        self.target = target
         self._word = None  # the sparse decomposition, once known
-        self._key = None
-        self._hash = None
+
+    def __getattr__(self, name: str):
+        # reached only while a composed ipomset's relation is underived;
+        # once stored in its slot, it is read like any other attribute
+        if name == "precedence":  # x ends at an earlier step than y starts
+            starts, ends = self._starts, self._ends
+            n = len(starts)
+            value = frozenset(
+                (x, y) for x in range(n) for y in range(n) if ends[x] < starts[y])
+        elif name == "event_order":
+            value = _closure(len(self.labels), self._cover)
+        else:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}")
+        setattr(self, name, value)
+        return value
 
     # -- basics ------------------------------------------------------------
 
@@ -221,9 +250,13 @@ class Ipomset:
         return tuple(sorted(evs, key=cmp_to_key(cmp)))
 
     def source_conclist(self) -> tuple[str, ...]:
+        if self._word is not None:
+            return self._word.steps[0].source_conclist()
         return tuple(self.labels[i] for i in self._sorted_by_event_order(self.source))
 
     def target_conclist(self) -> tuple[str, ...]:
+        if self._word is not None:
+            return self._word.steps[-1].target_conclist()
         return tuple(self.labels[i] for i in self._sorted_by_event_order(self.target))
 
     # -- canonical form ----------------------------------------------------
@@ -374,11 +407,16 @@ def compose(word: StepWord | Sequence[Step]) -> Ipomset:
 
     Events are numbered as the word meets them: the first step's whole
     conclist top to bottom, then the events of each later starter top to
-    bottom.  x precedes y when x is terminated before y is started, and
-    the event order is generated by the steps' conclists.  A step that
-    does not chain onto the one before it raises InterfaceMismatch with
-    the step's index as ``position``.  The result carries the merged
-    word as its sparse decomposition.
+    bottom.  Each event gets the index of the step that starts it (0 for
+    the first step's events) and of the step that terminates it (the
+    word's length for target events), so x precedes y exactly when x
+    ends at an earlier step than y starts; the event order is generated
+    by the neighbours in the steps' conclists.  A step that does not
+    chain onto the one before it raises InterfaceMismatch with the step's
+    index as ``position``.  The result keeps this interval form and
+    carries the merged word as its sparse decomposition; nothing is
+    closed or checked, since a chaining word always gives a valid
+    interval ipomset.
     """
     steps = tuple(word.steps if isinstance(word, StepWord) else word)
     if not steps:
@@ -388,9 +426,9 @@ def compose(word: StepWord | Sequence[Step]) -> Ipomset:
     active = list(range(len(labels)))  # the running conclist, as events
     source = [e for e in active
               if first.kind != "starter" or e not in first.marked]
-    done: list[int] = []  # events terminated so far
-    precedence: list[tuple[int, int]] = []
-    order: set[tuple[int, int]] = set()
+    starts = [0] * len(labels)
+    ends = [len(steps)] * len(labels)
+    cover: set[tuple[int, int]] = set()
     for pos, step in enumerate(steps):
         if pos:
             have = tuple(labels[e] for e in active)
@@ -403,19 +441,19 @@ def compose(word: StepWord | Sequence[Step]) -> Ipomset:
                 active = []
                 for i, label in enumerate(step.conclist):
                     if i in step.marked:
-                        y = len(labels)
+                        active.append(len(labels))
                         labels.append(label)
-                        precedence += [(x, y) for x in done]
-                        active.append(y)
+                        starts.append(pos)
+                        ends.append(len(steps))
                     else:
                         active.append(next(carried))
-        order.update(zip(active, active[1:]))
+        cover.update(zip(active, active[1:]))
         if step.kind == "terminator":
-            done += [active[i] for i in step.marked]
+            for i in step.marked:
+                ends[active[i]] = pos
             active = [e for i, e in enumerate(active) if i not in step.marked]
-    result = Ipomset(labels, precedence, order, source, active)
-    result._word = StepWord(_merge_word(steps))
-    return result
+    return Ipomset(labels, (), cover, source, active, _composed=(
+        tuple(starts), tuple(ends), StepWord(_merge_word(steps))))
 
 
 def _merge_word(steps: Sequence[Step]) -> tuple[Step, ...]:

@@ -248,6 +248,45 @@ def random_ipomset(rng, alphabet="ab", max_events=6, max_width=None):
     return compose(steps)
 
 
+def random_chaining_word(rng, alphabet="ab", max_events=8, max_width=4,
+                         identity_chance=0.15):
+    """A random chaining step word of at least two steps, drawn step by
+    step rather than from an ipomset.  Starters and terminators come in
+    any order, so the word is rarely sparse, identities are sprinkled in,
+    and the walk goes on until its events are spent or, with probability
+    0.1 after each step past the first, leaves a target interface
+    (``random_ipomset`` stops with probability 0.3 before every step)."""
+    events = rng.randint(1, max_events)
+    conclist = tuple(rng.choice(alphabet)
+                     for _ in range(rng.randint(0, min(max_width, events - 1))))
+    fresh = events - len(conclist)
+    steps = []
+    while True:
+        if rng.random() < identity_chance:
+            steps.append(identity_step(conclist))
+        moves = (["start"] if fresh and len(conclist) < max_width else []) + \
+                (["stop"] if conclist else [])
+        if not moves or (len(steps) > 1 and rng.random() < 0.1):
+            break
+        if rng.choice(moves) == "start":
+            new = list(conclist)
+            marked = []
+            for _ in range(rng.randint(1, min(fresh, max_width - len(conclist)))):
+                at = rng.randint(0, len(new))
+                new.insert(at, rng.choice(alphabet))
+                marked = [i + (i >= at) for i in marked] + [at]
+            steps.append(starter(new, marked))
+            fresh -= len(marked)
+            conclist = tuple(new)
+        else:
+            marked = rng.sample(range(len(conclist)), rng.randint(1, len(conclist)))
+            steps.append(terminator(conclist, marked))
+            conclist = tuple(l for i, l in enumerate(conclist) if i not in marked)
+    while len(steps) < 2:
+        steps.append(identity_step(conclist))
+    return steps
+
+
 def random_step_word(p, rng, identity_chance=0.2):
     """A random decomposition of p into a valid step word.  Start and
     termination moves are interleaved randomly, with random group sizes,

@@ -294,6 +294,15 @@ def test_undecodable_files_are_bad_input(capsys, tmp_path, raw):
     assert code == 2 and record["status"] == "error"
 
 
+@pytest.mark.parametrize("argv", [["validate"], ["member", "[a+][a-]"]])
+def test_json_nested_too_deeply_is_bad_input(capsys, tmp_path, argv):
+    deep = tmp_path / "deep.hda"
+    deep.write_text("[" * 50_000)
+    code, record = run(capsys, argv[0], str(deep), *argv[1:])
+    assert code == 2 and record["status"] == "error"
+    assert record["detail"].startswith("nested too deeply")
+
+
 def test_superscript_digits_are_a_parse_error(capsys, tmp_path):
     code, record = run(capsys, "oneletter", "build", "r=² s=0 f=1 tau={}",
                        "-o", str(tmp_path / "x.hda"))

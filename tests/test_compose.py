@@ -1,9 +1,10 @@
 """Composition in one pass, checked against the relation-level left fold.
 
-``compose`` builds an ipomset from a step word in one walk and carries
-the merged word as its sparse decomposition; ``glue`` composes the two
-operands' words.  The references in ``oracles.py`` glue one ipomset per
-step on the relations and decompose by greedy simulation.
+``compose`` builds an ipomset from a step word in one walk, keeps it in
+interval form (start and end step of each event, covering event-order
+pairs) and carries the merged word as its sparse decomposition; ``glue``
+composes the two operands' words.  The references in ``oracles.py`` glue
+one ipomset per step on the relations and decompose by greedy simulation.
 """
 import random
 
@@ -11,13 +12,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hdalang.ipomset
-from hdalang import (InterfaceMismatch, Ipomset, Step, StepWord, coherent_word,
-                     compose, dense_decomposition, glue, identity_step,
+from hdalang import (InterfaceMismatch, Ipomset, Step, StepWord, accepts,
+                     coherent_word, compose, count_sparse_accepting_paths,
+                     decide, dense_decomposition, glue, identity_step,
                      parse_ipomset, print_ipomset, sparse_decomposition,
-                     supersumptions)
+                     supersumptions, validate_ipomset)
 from hdalang.text import parse_step_word, print_step_word
 
-from fixtures import random_ipomset, random_step_word
+from fixtures import a_loop, random_chaining_word, random_ipomset, random_step_word
 from oracles import compose_oracle, glue_oracle, sparse_decomposition_oracle
 
 FIELDS = ("labels", "precedence", "event_order", "source", "target")
@@ -143,6 +145,52 @@ def test_long_words_match_the_left_fold(text):
     for field in FIELDS:
         assert getattr(got, field) == getattr(want, field)
     assert sparse_decomposition(got) == sparse_decomposition_oracle(want)
+
+
+def derived(p):
+    """Everything read off an ipomset's relations or its word."""
+    return (p.labels, p.precedence, p.event_order, p.source, p.target,
+            p.source_conclist(), p.target_conclist(), p.is_word(),
+            p.is_discrete(), p.key(), p.width())
+
+
+def assert_interval_form_is_exact(word):
+    got = compose(word)
+    assert derived(got) == derived(compose_oracle(word)) == derived(rebuilt(got))
+    assert validate_ipomset(got.labels, got.precedence, got.event_order,
+                            got.source, got.target) == []
+
+
+def test_interval_form_matches_the_validated_constructor():
+    rng = random.Random(13)
+    for _ in range(2000):
+        assert_interval_form_is_exact(random_chaining_word(rng))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 50, 200])
+def test_interval_form_of_long_loop_words(n):
+    assert_interval_form_is_exact(parse_step_word("[a+][a-]" * n).steps)
+
+
+def test_long_words_are_never_closed_or_checked(monkeypatch):
+    loop = a_loop()
+
+    def refuse(*args):
+        raise AssertionError("relations closed or checked")
+
+    monkeypatch.setattr(hdalang.ipomset, "_closure", refuse)
+    monkeypatch.setattr(hdalang.ipomset, "_problems", refuse)
+    text = "[a+][a-]" * 200
+    p = parse_ipomset(text)
+    assert decide.member(loop, p) and accepts(loop, p)
+    assert count_sparse_accepting_paths(loop, p) == 1
+    assert print_ipomset(p) == text
+    q = glue(p, parse_ipomset("[b+][b-]"))
+    assert len(q) == 201 and not decide.member(loop, q)
+    assert p.width() == 1 and len(p.key()) == 400
+    assert hash(p) == hash(parse_ipomset(text))
+    with pytest.raises(AssertionError):
+        p.event_order
 
 
 def test_composed_ipomsets_read_their_word_not_the_relations(monkeypatch):

@@ -2,6 +2,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hdalang import HDA, Cell, InvalidHDA, essential_cells, hda_from_dict, hda_to_dict
 from hdalang.cli import main
@@ -35,6 +36,17 @@ def test_top_level_fields_must_be_lists_of_strings(field, bad):
         hda_from_dict(data)
     assert [(p.code, p.subjects) for p in exc.value.problems] == [
         ("FieldType", (field,))]
+
+
+@pytest.mark.parametrize("bad", [0, None, ["e"], 1.5, True])
+def test_cell_ids_must_be_strings(bad):
+    data = square_data()
+    edge = next(i for i, c in enumerate(data["cells"]) if c["id"] == "e")
+    data["cells"][edge]["id"] = bad
+    with pytest.raises(InvalidHDA) as exc:
+        hda_from_dict(data)
+    assert [(p.code, p.subjects) for p in exc.value.problems] == [
+        ("FieldType", (f"id of cell {edge}",))]
 
 
 def test_every_bad_field_is_reported():
@@ -84,3 +96,41 @@ def test_reachable_follows_moves_forward_and_backward():
     assert reachable(x, ["w"]) == {"w", "f", "v1"}
     assert reachable(x, []) == frozenset()
     assert essential_cells(x) == {"v0", "e", "v1"}
+
+
+# -- fuzzing: any JSON value loads or is rejected as InvalidHDA -------------------
+
+FIELDS = ("cells", "start", "accept", "alphabet", "id", "events", "d0", "d1")
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3)
+    | st.sampled_from(("v", "e", "a")),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.sampled_from(FIELDS) | st.text(max_size=3), inner, max_size=6),
+    max_leaves=30)
+
+
+@given(json_values)
+@settings(max_examples=500, deadline=None)
+def test_loader_accepts_or_rejects_any_json_value(data):
+    try:
+        hda_from_dict(data)
+    except InvalidHDA:
+        pass
+
+
+# mostly well typed, so that a tenth of the examples reach HDA validation
+ids = st.sampled_from(("v", "w", "e"))
+names = st.lists(st.sampled_from(("v", "w", "e", "a", "b")), max_size=3)
+fields = st.one_of(names, names, names, json_values)
+cell_dicts = st.fixed_dictionaries(
+    {"id": st.one_of(ids, ids, ids, json_values),
+     "events": fields, "d0": fields, "d1": fields})
+
+
+@given(st.lists(cell_dicts, max_size=4), fields, fields)
+@settings(max_examples=300, deadline=None)
+def test_loader_accepts_or_rejects_any_cell_list(cells, start, accept):
+    try:
+        hda_from_dict({"cells": cells, "start": start, "accept": accept})
+    except InvalidHDA:
+        pass
