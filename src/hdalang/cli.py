@@ -284,8 +284,14 @@ _INPUT_ERRORS = (ParseError, InvalidIpomset, InterfaceMismatch, InvalidHDA,
                  json.JSONDecodeError, UnicodeDecodeError)
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         record, code = args.handler(args)
     except _INPUT_ERRORS as exc:

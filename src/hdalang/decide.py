@@ -22,9 +22,10 @@ from .stauto import (_uncovered, complement_words, emptiness, inclusion,
 
 def member(x: HDA, p: Ipomset) -> bool:
     """Is p in the language of x?"""
-    if p.width() > x.dim():
+    a = st_of_hda(x)
+    if p.width() > a.width_bound:  # x.dim(), without a scan of the cells
         return False
-    return stauto.member(st_of_hda(x), p)
+    return stauto.member(a, p)
 
 
 def include(x: HDA, y: HDA) -> tuple[bool, Ipomset | None]:

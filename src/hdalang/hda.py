@@ -130,11 +130,14 @@ class HDA:
                             f"{self.cells[fid].events}"))
         if out:
             return out
+        # faces[id][side][i] is the face of a cell at coordinate i
+        faces = {cid: (c.lower, c.upper) for cid, c in self.cells.items()}
         for c in self.cells.values():
+            own = faces[c.id]
             for i, j in itertools.combinations(range(c.dim), 2):
                 for t1, t2 in itertools.product((0, 1), repeat=2):
-                    a = self._elem(self._elem(c.id, t2, j), t1, i)
-                    b = self._elem(self._elem(c.id, t1, i), t2, j - 1)
+                    a = faces[own[t2][j]][t1][i]
+                    b = faces[own[t1][i]][t2][j - 1]
                     if a != b:
                         out.append(Problem(
                             "PrecubicalIdentityViolation", (c.id, i, j),
@@ -280,14 +283,20 @@ def dump_hda(hda: HDA, path: str) -> None:
 
 
 def load_hda(path: str) -> HDA:
-    """Read a ``.hda`` file.  Text that is no JSON, or JSON nested too
-    deeply for the parser, raises json.JSONDecodeError."""
+    """Read a ``.hda`` file.  Text that is no JSON, JSON nested too
+    deeply for the parser, or a number with more digits than ``int``
+    converts, raises json.JSONDecodeError."""
     with open(path, encoding="utf-8") as fp:
         text = fp.read()
     try:
         data = json.loads(text)
+    except json.JSONDecodeError:
+        raise
     except RecursionError:
         raise json.JSONDecodeError("nested too deeply", text, 0) from None
+    except ValueError:
+        raise json.JSONDecodeError("number with too many digits",
+                                   text, 0) from None
     return hda_from_dict(data)
 
 

@@ -297,39 +297,57 @@ class Ipomset:
 _KINDS = ("starter", "terminator", "identity")
 
 
-@dataclass(frozen=True)
 class Step:
     """A starter, terminator, or identity over a conclist.
 
     ``conclist`` is the full list of concurrent events (top to bottom in
     event order); ``marked`` holds the positions being started or
     terminated.  An empty ``marked`` is the identity step.
-    """
-    kind: str
-    conclist: tuple[str, ...]
-    marked: frozenset[int]
 
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown step kind: {self.kind}")
-        for p in self.marked:
-            if not (0 <= p < len(self.conclist)):
+    Instances must not be mutated: the hash, ``key()`` and both
+    interface conclists are computed once, at construction.  The hash is
+    that of ``(kind, conclist, marked)``, and steps are equal when their
+    keys are.
+    """
+
+    __slots__ = ("kind", "conclist", "marked", "_key", "_hash", "_source",
+                 "_target")
+
+    def __init__(self, kind: str, conclist: tuple[str, ...],
+                 marked: frozenset[int]):
+        if kind not in _KINDS:
+            raise ValueError(f"unknown step kind: {kind}")
+        for p in marked:
+            if not (0 <= p < len(conclist)):
                 raise ValueError(f"marked position out of range: {p}")
-        if (self.kind == "identity") != (not self.marked):
+        if (kind == "identity") != (not marked):
             raise ValueError("identity steps are exactly the unmarked ones")
+        self.kind = kind
+        self.conclist = conclist
+        self.marked = marked
+        self._key = (kind, conclist, tuple(sorted(marked)))
+        self._hash = hash((kind, conclist, marked))
+        rest = (tuple([l for i, l in enumerate(conclist) if i not in marked])
+                if marked else conclist)
+        self._source = rest if kind == "starter" else conclist
+        self._target = rest if kind == "terminator" else conclist
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Step:
+            return NotImplemented
+        return self._hash == other._hash and self._key == other._key
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def key(self) -> tuple:
-        return (self.kind, self.conclist, tuple(sorted(self.marked)))
+        return self._key
 
     def source_conclist(self) -> tuple[str, ...]:
-        if self.kind == "starter":
-            return tuple(l for i, l in enumerate(self.conclist) if i not in self.marked)
-        return self.conclist
+        return self._source
 
     def target_conclist(self) -> tuple[str, ...]:
-        if self.kind == "terminator":
-            return tuple(l for i, l in enumerate(self.conclist) if i not in self.marked)
-        return self.conclist
+        return self._target
 
     def as_ipomset(self) -> Ipomset:
         """The ipomset of this one step: ``compose((self,))``."""

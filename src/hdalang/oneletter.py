@@ -105,32 +105,31 @@ def parse_up(text: str) -> UPFunction:
         if key not in fields:
             raise ParseError(len(text), f"missing key {key!r}")
 
+    def decimal(value: str, at: int, message: str) -> int:
+        if value.isdecimal():
+            try:
+                return int(value)
+            except ValueError:  # more digits than int() converts
+                pass
+        raise ParseError(at, message)
+
     def number(key: str) -> int:
         value, at = fields[key]
-        if not value.isdecimal():
-            raise ParseError(at, f"{key} must be a number, got {value!r}")
-        return int(value)
+        return decimal(value, at, f"{key} must be a number, got {value!r}")
 
     r, s = number("r"), number("s")
     f_text, f_at = fields["f"]
-    f = []
-    for part in f_text.split(","):
-        if not part.isdecimal():
-            raise ParseError(f_at, f"bad f entry {part!r}")
-        f.append(int(part))
+    f = [decimal(part, f_at, f"bad f entry {part!r}")
+         for part in f_text.split(",")]
     tau_text, tau_at = fields["tau"]
     tau = []
     for part in tau_text.split(";"):
         if not (part.startswith("{") and part.endswith("}")):
             raise ParseError(tau_at, f"bad tau entry {part!r}")
         inner = part[1:-1]
-        if inner:
-            entries = inner.split(",")
-            if not all(e.isdecimal() for e in entries):
-                raise ParseError(tau_at, f"bad tau entry {part!r}")
-            tau.append(frozenset(int(e) for e in entries))
-        else:
-            tau.append(frozenset())
+        tau.append(frozenset(decimal(e, tau_at, f"bad tau entry {part!r}")
+                             for e in inner.split(",")) if inner
+                   else frozenset())
     return UPFunction(r, s, tuple(f), tuple(tau))
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .ipomset import (Ipomset, Problem, Step, StepWord, compose, identity_step,
                       sparse_decomposition, starter, terminator, _letters)
@@ -28,20 +28,22 @@ class InvalidSTAutomaton(ValueError):
 class STAutomaton:
     """A finite automaton over step letters.
 
-    ``states`` maps state ids to conclists, ``transitions`` is a set of
-    (source id, step, target id) triples, ``width_bound`` records the
+    ``states`` maps state ids to conclists, ``width_bound`` records the
     largest conclist the automaton is meant to range over (None leaves it
-    unspecified).  ``successors`` indexes the transitions once, as
-    ``state -> {step: targets}`` with each state's steps in ``Step.key()``
-    order and the targets sorted; every run below steps through it.
+    unspecified).  The transitions, (source id, step, target id) triples,
+    are checked and indexed in one pass into ``successors``, which is all
+    the automaton keeps of them: ``state -> {step: targets}`` with each
+    state's steps in ``Step.key()`` order and the targets a sorted tuple;
+    every run below steps through it.  ``transitions``, the set of
+    triples, is derived from the index the first time it is read.
 
-    Instances are validated on construction and must not be mutated: the
-    index is built from the transitions only then, and ``st_of_hda``
-    caches its automaton on the HDA and hands it to every later caller.
+    Instances are validated on construction and must not be mutated:
+    ``st_of_hda`` caches its automaton on the HDA and hands it to every
+    later caller.
     """
 
-    __slots__ = ("alphabet", "states", "transitions", "initial", "final",
-                 "width_bound", "successors")
+    __slots__ = ("alphabet", "states", "initial", "final", "width_bound",
+                 "successors", "_transitions")
 
     def __init__(self, alphabet: Iterable[str],
                  states: dict[str, Sequence[str]],
@@ -50,16 +52,25 @@ class STAutomaton:
                  width_bound: int | None = None):
         self.alphabet = frozenset(alphabet)
         self.states = {sid: tuple(cl) for sid, cl in states.items()}
-        self.transitions = frozenset(transitions)
         self.initial = frozenset(initial)
         self.final = frozenset(final)
         self.width_bound = width_bound
-        self.successors = self._index()
+        self._transitions: frozenset[tuple[str, Step, str]] | None = None
+        self.successors = self._index(transitions)
 
-    def _index(self) -> dict[str, dict[Step, tuple[str, ...]]]:
-        """Check every transition in one unsorted pass and build the index.
-        Problems are sorted into their report order only when there are
-        any: transitions by (source, target, step key)."""
+    @property
+    def transitions(self) -> frozenset[tuple[str, Step, str]]:
+        if self._transitions is None:
+            self._transitions = frozenset(
+                (q, s, r) for q, row in self.successors.items()
+                for s, targets in row.items() for r in targets)
+        return self._transitions
+
+    def _index(self, transitions: Iterable[tuple[str, Step, str]]
+               ) -> dict[str, dict[Step, tuple[str, ...]]]:
+        """Check every transition and index it, in one pass.  Problems
+        are sorted into their report order only when there are any:
+        transitions by (source, target, step key), each reported once."""
         states = self.states
         problems = []
         for name, ids in (("initial", self.initial), ("final", self.final)):
@@ -71,41 +82,43 @@ class STAutomaton:
             problems.append(Problem(
                 "DanglingReference", (lab,),
                 f"state label {lab!r} is not in the alphabet"))
-        by_step: dict[Step, list[tuple[str, str]]] = {}
-        for q, s, r in self.transitions:
-            by_step.setdefault(s, []).append((q, r))
-        found = []
-        for s, pairs in by_step.items():
-            src, tgt = s.source_conclist(), s.target_conclist()
-            for q, r in pairs:
-                if q not in states or r not in states:
-                    found.append(((q, r, s.key(), 0), Problem(
-                        "DanglingReference", (q, r),
-                        f"transition endpoint missing: {q!r}->{r!r}")))
-                elif s.kind == "identity":
-                    found.append(((q, r, s.key(), 0), Problem(
-                        "IdentityTransition", (q, r),
-                        "identity steps are implicit and may not "
-                        "be stored as transitions")))
-                else:
-                    if src != states[q]:
-                        found.append(((q, r, s.key(), 0), Problem(
-                            "StateLabelMismatch", (q,),
-                            f"step out of {q!r} starts from {src}, "
-                            f"but the state is labelled {states[q]}")))
-                    if tgt != states[r]:
-                        found.append(((q, r, s.key(), 1), Problem(
-                            "StateLabelMismatch", (r,),
-                            f"step into {r!r} ends in {tgt}, "
-                            f"but the state is labelled {states[r]}")))
-        problems += [p for _, p in sorted(found, key=lambda f: f[0])]
+        index: dict[str, dict[Step, tuple[str, ...]]] = {q: {} for q in states}
+        found: dict[tuple, Problem] = {}
+        for q, s, r in transitions:
+            row, into = index.get(q), states.get(r)
+            if row is None or into is None:
+                found[q, r, s.key(), 0] = Problem(
+                    "DanglingReference", (q, r),
+                    f"transition endpoint missing: {q!r}->{r!r}")
+            elif s.kind == "identity":
+                found[q, r, s.key(), 0] = Problem(
+                    "IdentityTransition", (q, r),
+                    "identity steps are implicit and may not "
+                    "be stored as transitions")
+            else:
+                src, tgt = s.source_conclist(), s.target_conclist()
+                if src == states[q] and tgt == into:
+                    one = (r,)
+                    targets = row.setdefault(s, one)
+                    if targets is not one and r not in targets:
+                        row[s] = tuple(sorted(targets + one))
+                    continue
+                if src != states[q]:
+                    found[q, r, s.key(), 0] = Problem(
+                        "StateLabelMismatch", (q,),
+                        f"step out of {q!r} starts from {src}, "
+                        f"but the state is labelled {states[q]}")
+                if tgt != into:
+                    found[q, r, s.key(), 1] = Problem(
+                        "StateLabelMismatch", (r,),
+                        f"step into {r!r} ends in {tgt}, "
+                        f"but the state is labelled {into}")
+        problems += [found[k] for k in sorted(found)]
         if problems:
             raise InvalidSTAutomaton(problems)
-        index: dict[str, dict[Step, tuple[str, ...]]] = {q: {} for q in states}
-        for s in sorted(by_step, key=Step.key):
-            for q, r in sorted(by_step[s]):
-                row = index[q]
-                row[s] = row.get(s, ()) + (r,)
+        for q, row in index.items():
+            if len(row) > 1:
+                index[q] = {s: row[s] for s in sorted(row, key=Step.key)}
         return index
 
 
@@ -122,35 +135,44 @@ def st_of_hda(hda: HDA) -> STAutomaton:
 
 
 def _compile(hda: HDA) -> STAutomaton:
+    """Stream every cell's transitions into STAutomaton.  The starters
+    and terminators of a conclist are built once, in ``composite_faces``
+    order, and shared by every cell that carries it."""
     cells = hda.cells
-    interned: dict[tuple, Step] = {}
+    letters: dict[tuple[str, ...], tuple[list[Step], list[Step]]] = {}
 
-    def step(make, events: tuple[str, ...], marked: tuple[int, ...]) -> Step:
-        key = (make, events, marked)
-        s = interned.get(key)
-        if s is None:
-            s = interned[key] = make(events, marked)
-        return s
+    def transitions() -> Iterator[tuple[str, Step, str]]:
+        for y in cells.values():
+            steps = letters.get(y.events)
+            if steps is None:
+                marks = [a for r in range(1, y.dim + 1)
+                         for a in itertools.combinations(range(y.dim), r)]
+                steps = letters[y.events] = (
+                    [starter(y.events, a) for a in marks],
+                    [terminator(y.events, a) for a in marks])
+            for (_, x, z), up, down in zip(composite_faces(hda, y), *steps):
+                yield x, up, y.id
+                yield y.id, down, z
 
-    transitions = []
-    for y in cells.values():
-        for a, x, z in composite_faces(hda, y):
-            transitions.append((x, step(starter, y.events, a), y.id))
-            transitions.append((y.id, step(terminator, y.events, a), z))
     states = {cid: c.events for cid, c in cells.items()}
-    return STAutomaton(hda.alphabet, states, transitions,
+    return STAutomaton(hda.alphabet, states, transitions(),
                        hda.start, hda.accept, width_bound=hda.dim())
 
 
 def coherent_word(p: Ipomset) -> tuple[Step, ...]:
     """The sparse decomposition of p with identities interleaved:
     ``id s1 id s2 ... id``; just one identity letter for identities."""
-    if p.is_identity():
-        return (identity_step(p.source_conclist()),)
-    out: list[Step] = [identity_step(p.source_conclist())]
-    for s in sparse_decomposition(p).steps:
-        out.append(s)
-        out.append(identity_step(s.target_conclist()))
+    return _spelled(p.source_conclist(),
+                    () if p.is_identity() else sparse_decomposition(p).steps)
+
+
+def _spelled(conclist: tuple[str, ...], steps: Sequence[Step]
+             ) -> tuple[Step, ...]:
+    """The coherent word of ``steps`` from ``conclist``: an identity
+    letter first and after every step."""
+    out = [identity_step(conclist)]
+    for s in steps:
+        out += (s, identity_step(s.target_conclist()))
     return tuple(out)
 
 
@@ -196,8 +218,16 @@ def accepts_word(a: STAutomaton, word: Sequence[Step]) -> bool:
 
 
 def member(a: STAutomaton, p: Ipomset) -> bool:
-    """Is p in the recognised ipomset language?"""
-    return accepts_word(a, coherent_word(p))
+    """Is p in the recognised ipomset language?  Runs the steps of its
+    sparse word from the states over its source conclist: the same run as
+    ``accepts_word(a, coherent_word(p))``, with no identity letters."""
+    states = _starting(a, a.initial, p.source_conclist())
+    for step in sparse_decomposition(p).steps:
+        if step.kind != "identity":  # the one letter of an identity word
+            states = _post(a, states, step)
+            if not states:
+                return False
+    return bool(states & a.final)
 
 
 def enumerate_wang(a: STAutomaton, max_letters: int) -> set[tuple[Step, ...]]:
@@ -243,7 +273,8 @@ def _uncovered(a: STAutomaton, a_start: Iterable[str], b: STAutomaton,
     """A shortest coherent word that a accepts from ``a_start`` and b
     rejects from ``b_start``, or None when there is none: breadth-first
     over pairs of an a-state and the set of b-states the same word
-    reaches."""
+    reaches.  The queue holds the words' steps only; the identities
+    are spelled out in the one word returned."""
     queue: deque[tuple[str, frozenset[str], tuple[Step, ...]]] = deque()
     seen = set()
     for q in sorted(a_start):
@@ -252,9 +283,9 @@ def _uncovered(a: STAutomaton, a_start: Iterable[str], b: STAutomaton,
         queue.append(pair + ((),))
     while queue:
         q, bset, word = queue.popleft()
-        word += (identity_step(a.states[q]),)
         if q in a.final and not bset & b.final:
-            return word
+            return _spelled(word[0].source_conclist() if word
+                            else a.states[q], word)
         for step, targets in a.successors[q].items():
             bnext = _post(b, bset, step) if bset else bset
             for r in targets:

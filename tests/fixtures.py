@@ -161,6 +161,24 @@ def hda_union(*parts):
     return HDA(cells, start, accept, alphabet)
 
 
+def cube(d):
+    """The filled d-cube over letters a0..a{d-1}: coordinate i of a cell
+    is 0 (a_i not started), 2 (running) or 1 (done).  It starts in the
+    all-0 vertex and accepts in the all-1 vertex, so it has 3^d cells and
+    accepts every ipomset subsumed by a0 || ... || a{d-1}."""
+    def cid(t):
+        return "c" + "".join(map(str, t))
+
+    cells = []
+    for t in itertools.product((0, 2, 1), repeat=d):
+        run = [i for i in range(d) if t[i] == 2]
+        cells.append(Cell(cid(t), tuple(f"a{i}" for i in run),
+                          tuple(cid(t[:i] + (0,) + t[i + 1:]) for i in run),
+                          tuple(cid(t[:i] + (1,) + t[i + 1:]) for i in run)))
+    return HDA(cells, [cid((0,) * d)], [cid((1,) * d)],
+               [f"a{i}" for i in range(d)])
+
+
 def rectangle_pair():
     """Union of the two event-order variants of the ab||c rectangle."""
     return hda_union(ab_c_rectangle(False, "f"), ab_c_rectangle(True, "s"))

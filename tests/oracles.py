@@ -19,7 +19,10 @@ one.  Dense words come from a simulation of their own, ``sparsify`` merges
 moves by hand, ``supersumptions`` filters subsets of the precedence and
 orientations of the pairs it drops, and the letters within width k are
 generated by separate loops, as the library did before it split, merged
-and generated step words one way each.
+and generated step words one way each.  HDA validation looks each face
+up through a call, and the successor index is built from a stored set of
+triples grouped by step, as the library did before it read faces from a
+local table and indexed each transition as it arrived.
 """
 import itertools
 from collections import deque
@@ -234,13 +237,73 @@ def up_steps_oracle(hda):
     return graph
 
 
+def hda_problems_oracle(cells, start, accept):
+    """The problems ``HDA(cells, start, accept)`` reports, in order, with
+    the precubical identities checked through a face lookup per call, as
+    the library did before it read the faces from a local table."""
+    out, cell_map = [], {}
+    for c in cells:
+        if c.id in cell_map:
+            out.append(Problem("DuplicateCell", (c.id,),
+                               f"cell id {c.id!r} appears twice"))
+        cell_map[c.id] = c
+    start, accept = frozenset(start), frozenset(accept)
+
+    def elem(cell_id, side, i):
+        c = cell_map[cell_id]
+        return (c.lower if side == 0 else c.upper)[i]
+
+    found = []
+    for name, ids in (("start", start), ("accept", accept)):
+        for i in sorted(ids - set(cell_map)):
+            found.append(Problem("DanglingReference", (i,),
+                                 f"{name} cell {i!r} does not exist"))
+    for c in cell_map.values():
+        if len(c.lower) != c.dim or len(c.upper) != c.dim:
+            found.append(Problem(
+                "FaceArityMismatch", (c.id,),
+                f"cell {c.id!r} has dimension {c.dim} but "
+                f"{len(c.lower)} lower and {len(c.upper)} upper faces"))
+            continue
+        broken = False
+        for fid in c.lower + c.upper:
+            if fid not in cell_map:
+                found.append(Problem("DanglingReference", (c.id, fid),
+                                     f"face {fid!r} of cell {c.id!r} "
+                                     "does not exist"))
+                broken = True
+        if broken:
+            continue
+        expect = [c.events[:i] + c.events[i + 1:] for i in range(c.dim)]
+        for side, faces in (("lower", c.lower), ("upper", c.upper)):
+            for i, fid in enumerate(faces):
+                if cell_map[fid].events != expect[i]:
+                    found.append(Problem(
+                        "FaceLabelMismatch", (c.id, fid),
+                        f"{side} face {i} of {c.id!r} should have events "
+                        f"{expect[i]}, but {fid!r} has "
+                        f"{cell_map[fid].events}"))
+    if found:
+        return out + found
+    for c in cell_map.values():
+        for i, j in itertools.combinations(range(c.dim), 2):
+            for t1, t2 in itertools.product((0, 1), repeat=2):
+                a = elem(elem(c.id, t2, j), t1, i)
+                b = elem(elem(c.id, t1, i), t2, j - 1)
+                if a != b:
+                    found.append(Problem(
+                        "PrecubicalIdentityViolation", (c.id, i, j),
+                        f"faces of {c.id!r} at coordinates {i},{j} "
+                        f"(sides {t1},{t2}) disagree: {a!r} vs {b!r}"))
+    return out + found
+
+
 # --------------------------------------------------------------------------
 # ST-automata: uncached construction and linear-scan runs
 
-def st_of_hda_oracle(hda):
-    """The ST-automaton of hda, built anew: composite faces through
-    ``face`` and a new Step object for every transition."""
-    states = {cid: c.events for cid, c in hda.cells.items()}
+def st_transitions_oracle(hda):
+    """The transitions of the ST-automaton of hda: composite faces
+    through ``face`` and a new Step object for every transition."""
     transitions = []
     for y in hda.cells.values():
         for r in range(1, y.dim + 1):
@@ -249,8 +312,29 @@ def st_of_hda_oracle(hda):
                     (face(hda, y.id, 0, a), starter(y.events, a), y.id))
                 transitions.append(
                     (y.id, terminator(y.events, a), face(hda, y.id, 1, a)))
-    return STAutomaton(hda.alphabet, states, transitions,
+    return transitions
+
+
+def st_of_hda_oracle(hda):
+    """The ST-automaton of hda, built anew from
+    ``st_transitions_oracle``."""
+    states = {cid: c.events for cid, c in hda.cells.items()}
+    return STAutomaton(hda.alphabet, states, st_transitions_oracle(hda),
                        hda.start, hda.accept, width_bound=hda.dim())
+
+
+def successors_oracle(states, transitions):
+    """The successor index of valid transitions as the library built it
+    from a stored set of triples: grouped by step, steps in key order,
+    each row's targets appended in sorted (source, target) order."""
+    by_step = {}
+    for q, s, r in set(transitions):
+        by_step.setdefault(s, []).append((q, r))
+    index = {q: {} for q in states}
+    for s in sorted(by_step, key=lambda s: s.key()):
+        for q, r in sorted(by_step[s]):
+            index[q][s] = index[q].get(s, ()) + (r,)
+    return index
 
 
 def st_problems_oracle(alphabet, states, transitions, initial, final):

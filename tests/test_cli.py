@@ -1,10 +1,14 @@
 """End-to-end checks of the command line front end."""
+import contextlib
+import io
 import json
 import os
+import string
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hdalang import dump_hda, load_hda
+from hdalang import cli, dump_hda, load_hda
 from hdalang.cli import main
 
 from fixtures import a_loop
@@ -307,3 +311,160 @@ def test_superscript_digits_are_a_parse_error(capsys, tmp_path):
     code, record = run(capsys, "oneletter", "build", "r=² s=0 f=1 tau={}",
                        "-o", str(tmp_path / "x.hda"))
     assert code == 2 and record["status"] == "error"
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    built = []
+    build = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    monkeypatch.setattr(cli, "_parser", None)
+    assert run(capsys, "validate", f"{DATA}/filled_square.hda")[0] == 0
+    assert run(capsys, "member", f"{DATA}/filled_square.hda", "[a+][a-]")[0] == 1
+    assert built == [1]
+
+
+def test_numbers_of_too_many_digits_are_bad_input(capsys, tmp_path):
+    big = tmp_path / "big.hda"
+    big.write_text('{"cells": [], "start": [], "accept": [], "n": '
+                   + "1" * 5000 + "}")
+    for argv in (["validate", str(big)], ["empty", str(big)]):
+        code, record = run(capsys, *argv)
+        assert code == 2 and record["status"] == "error"
+        assert record["detail"].startswith("number with too many digits")
+    for up in ("r=" + "9" * 5000 + " s=0 f=1 tau={}",
+               "r=0 s=0 f=" + "9" * 5000 + " tau={}",
+               "r=0 s=0 f=1 tau={" + "9" * 5000 + "}"):
+        code, record = run(capsys, "oneletter", "build", up,
+                           "-o", str(tmp_path / "x.hda"))
+        assert code == 2 and record["status"] == "error"
+
+
+# -- fuzzing: malformed files and arguments, every command, one process ---------
+
+# A: the automaton under test, B: a good one, P: an ipomset, U: a
+# one-letter description, K: a count, O: an output file
+COMMANDS = [
+    ["validate", "A"], ["member", "A", "P"], ["include", "A", "B"],
+    ["include", "B", "A"], ["equiv", "A", "B"], ["equiv", "B", "A"],
+    ["empty", "A"], ["intersect", "A", "B", "-o", "O"],
+    ["intersect", "B", "A", "-o", "O"], ["complement-member", "A", "P"],
+    ["complement-member", "A", "P", "-k", "K"], ["complement-empty", "A"],
+    ["complement-empty", "A", "-k", "K"], ["deterministic", "A"],
+    ["deterministic-hda", "A"], ["count-paths", "A", "P"], ["pump", "A", "P"],
+    ["pump", "A", "P", "-m", "K", "-r", "K"], ["st-export", "A", "-o", "O"],
+    ["skeleton", "A", "-k", "K", "-o", "O"], ["oneletter", "analyze", "A"],
+    ["oneletter", "build", "U", "-o", "O"],
+]
+GOOD = {"A": f"{DATA}/filled_square.hda", "B": f"{DATA}/parallel_ab.hda",
+        "P": "[a+][a-]", "U": "r=1 s=1 f=1,1 tau={};{0}", "K": "1"}
+with open(GOOD["A"], encoding="utf-8") as _fp:
+    SQUARE = json.load(_fp)
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8)
+# values that no field of the file format accepts: lists of strings are
+# left out, and so are strings where a cell id goes
+not_names = json_values.filter(lambda v: not (
+    isinstance(v, list) and all(isinstance(x, str) for x in v)))
+not_ids = json_values.filter(lambda v: not isinstance(v, str))
+
+
+@st.composite
+def broken_automata(draw):
+    """The filled square's data with one part broken."""
+    data = json.loads(json.dumps(SQUARE))
+    cell = draw(st.sampled_from(data["cells"]))
+    fault = draw(st.sampled_from(("drop", "top", "id", "cell", "field",
+                                  "dangling")))
+    if fault == "drop":
+        del data[draw(st.sampled_from(("cells", "start", "accept")))]
+    elif fault == "top":
+        data[draw(st.sampled_from(("cells", "start", "accept", "alphabet")))] = \
+            draw(not_names)
+    elif fault == "id":
+        cell["id"] = draw(not_ids)
+    elif fault == "cell":
+        del cell[draw(st.sampled_from(("id", "events", "d0", "d1")))]
+    elif fault == "field":
+        cell[draw(st.sampled_from(("events", "d0", "d1")))] = draw(not_names)
+    else:
+        cell["d0"] = cell["d0"][:-1] + ["gone"] if cell["d0"] else ["gone"]
+    return json.dumps(data).encode()
+
+
+malformed_files = st.one_of(
+    broken_automata(),
+    st.binary(max_size=20).map(lambda raw: b"\xff" + raw),
+    st.text(max_size=20).map(lambda text: ("{" + text).encode()),
+    st.builds(lambda v: json.dumps(v).encode(), json_values))
+# an unclosed bracket never parses, and neither does a token without "="
+malformed = {"P": st.text(max_size=12).map(lambda text: text + "["),
+             "U": st.text(max_size=16).map(lambda text: text + " ?"),
+             "K": st.integers(max_value=-1).map(str)
+             | st.text(string.ascii_letters + ".,", min_size=1, max_size=4)}
+
+
+def call(argv):
+    """Run main in this process: exit code (SystemExit's for usage
+    errors), the record and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    record = dict(line.partition("=")[::2] for line in out.getvalue().splitlines())
+    return code, record, err.getvalue()
+
+
+def is_json(raw):
+    try:
+        json.loads(raw.decode("utf-8"))
+    except (ValueError, RecursionError):  # UnicodeDecodeError is one
+        return False
+    return True
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@given(st.sampled_from([c for c in COMMANDS if "A" in c]), malformed_files)
+@settings(max_examples=300, deadline=None)
+def test_every_command_reports_a_malformed_file_as_bad_input(fuzz_dir, argv, raw):
+    path = fuzz_dir / "bad.hda"
+    path.write_bytes(raw)
+    values = dict(GOOD, A=str(path), O=str(fuzz_dir / "out"))
+    code, record, err = call([values.get(a, a) for a in argv])
+    assert "Traceback" not in err
+    if argv[0] == "validate" and is_json(raw):
+        assert (code, record["status"]) == (1, "false")
+    else:
+        assert (code, record["status"]) == (2, "error"), record
+
+
+@given(st.sampled_from([(c, k) for c in COMMANDS for k in "PUK" if k in c])
+       .flatmap(lambda ck: st.tuples(st.just(ck[0]), st.just(ck[1]),
+                                     malformed[ck[1]])))
+@settings(max_examples=300, deadline=None)
+def test_every_command_reports_a_malformed_argument_as_bad_input(fuzz_dir, case):
+    argv, slot, bad = case
+    values = dict(GOOD, O=str(fuzz_dir / "out"), **{slot: bad})
+    code, record, err = call([values.get(a, a) for a in argv])
+    assert "Traceback" not in err and code == 2
+    if slot == "K" or bad.startswith("-"):
+        # argparse rejects a bad count, or reads an option, before any
+        # command runs
+        assert record == {} and "usage:" in err
+    else:
+        assert record["status"] == "error", record

@@ -4,16 +4,24 @@ import random
 
 import pytest
 
-from hdalang import (HDA, InvalidSTAutomaton, STAutomaton, accepts, empty,
-                     equivalent, identity_step, include, member, st_of_hda,
+from hdalang import (HDA, InvalidSTAutomaton, STAutomaton, Step, accepts,
+                     accepts_word, coherent_word, compose, empty, equivalent,
+                     identity_step, include, member, st_of_hda, stauto,
                      starter, terminator)
-from hdalang.text import print_ipomset
+from hdalang.text import parse_step_word, print_ipomset, print_step
 
-from fixtures import (a_loop, branching_square, filled_square, hda_union,
-                      one_letter_chain, parallel_square, random_hda,
+from fixtures import (a_loop, ab_c_rectangle, branching_square, cube,
+                      filled_square, hda_union, one_letter_chain,
+                      parallel_square, random_chaining_word, random_hda,
                       random_ipomset, rectangle_pair, two_lane_loop)
 from oracles import (emptiness_oracle, inclusion_oracle, member_oracle,
-                     st_of_hda_oracle, st_problems_oracle)
+                     st_of_hda_oracle, st_problems_oracle,
+                     st_transitions_oracle, successors_oracle)
+
+FIXTURES = [filled_square(), branching_square(), parallel_square(), a_loop(),
+            one_letter_chain(), two_lane_loop(), rectangle_pair(),
+            ab_c_rectangle(), cube(3),
+            hda_union(branching_square(), parallel_square(("v00", "v10")))]
 
 
 def shown(answer):
@@ -111,3 +119,133 @@ def test_several_faults_are_reported_in_reference_order():
         ("DanglingReference", ("w", "gone")),
         ("DanglingReference", ("zz", "w")),
     ]
+
+
+# -- the index built in one pass ---------------------------------------------
+
+def rows(a):
+    """The successor index with its order made visible."""
+    return [(q, list(row.items())) for q, row in a.successors.items()]
+
+
+def test_index_matches_the_stored_triples_reference():
+    rng = random.Random(7)
+    for x in FIXTURES + [random_hda(rng) for _ in range(100)]:
+        a, raw = st_of_hda(x), st_transitions_oracle(x)
+        assert a.transitions == frozenset(raw) == st_of_hda_oracle(x).transitions
+        assert rows(a) == rows(st_of_hda_oracle(x))
+        ref = successors_oracle(a.states, raw)
+        assert [(q, list(ref[q].items())) for q in a.successors] == rows(a)
+
+
+def test_transitions_are_derived_once_from_the_index():
+    a = st_of_hda(filled_square())
+    assert a._transitions is None
+    assert a.transitions is a.transitions
+    assert len(a.transitions) == 14
+
+
+def faulty(rng, x):
+    """Raw automaton data of x with a few transitions broken or doubled."""
+    states = {cid: c.events for cid, c in x.cells.items()}
+    transitions = st_transitions_oracle(x)
+    steps = [s for _, s, _ in transitions] or [starter(("a",), (0,))]
+    for _ in range(rng.randint(1, 4)):
+        i = rng.randrange(len(transitions)) if transitions else None
+        fault = rng.choice(("source", "target", "step", "identity", "again"))
+        if i is None or fault == "identity":
+            q = rng.choice(sorted(states))
+            transitions.append((q, identity_step(states[q]), q))
+            continue
+        q, s, r = transitions[i]
+        if fault == "source":
+            transitions[i] = (rng.choice(sorted(states) + ["gone"]), s, r)
+        elif fault == "target":
+            transitions[i] = (q, s, rng.choice(sorted(states) + ["gone"]))
+        elif fault == "step":
+            transitions[i] = (q, rng.choice(steps), r)
+        else:
+            transitions.append((q, Step(s.kind, s.conclist, s.marked), r))
+    return (x.alphabet, states, transitions,
+            x.start | ({"nope"} if rng.random() < 0.2 else set()), x.accept)
+
+
+def test_problem_lists_match_the_reference():
+    rng = random.Random(13)
+    raised = 0
+    for x in FIXTURES + [random_hda(rng) for _ in range(150)]:
+        args = faulty(rng, x)
+        problems = st_problems_oracle(*args)
+        try:
+            STAutomaton(*args)
+        except InvalidSTAutomaton as exc:
+            assert list(exc.problems) == problems
+            raised += 1
+        else:
+            assert problems == []
+    assert raised > 100
+
+
+def test_doubled_transitions_are_indexed_once():
+    x = branching_square()
+    raw = st_transitions_oracle(x)
+    states = {cid: c.events for cid, c in x.cells.items()}
+    twice = STAutomaton(x.alphabet, states, raw + raw[::-1], x.start, x.accept)
+    assert rows(twice) == rows(st_of_hda(x))
+    assert twice.transitions == frozenset(raw)
+
+
+# -- steps hashed once ----------------------------------------------------------
+
+def test_parsed_steps_find_the_interned_ones():
+    for x in FIXTURES:
+        a = st_of_hda(x)
+        for q, row in a.successors.items():
+            for s, targets in row.items():
+                (t,) = parse_step_word(print_step(s)).steps
+                assert t is not s and t == s and hash(t) == hash(s)
+                assert hash(s) == hash((s.kind, s.conclist, s.marked))
+                assert t.key() == s.key()
+                assert a.successors[q].get(t) is targets
+
+
+def test_steps_differ_by_any_field():
+    s = starter(("a", "b"), (0,))
+    assert s != starter(("a", "b"), (1,))
+    assert s != terminator(("a", "b"), (0,))
+    assert s != starter(("a", "c"), (0,))
+    assert s != ("starter", ("a", "b"), frozenset({0}))
+    assert s.source_conclist() == ("b",) and s.target_conclist() == ("a", "b")
+
+
+def test_compiling_builds_one_step_per_distinct_step(monkeypatch):
+    x = cube(5)
+    built = []
+    init = Step.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(Step, "__init__", counting)
+    a = st_of_hda(x)
+    steps = {s for row in a.successors.values() for s in row}
+    assert len(built) == len(steps) == len({id(s) for _, s, _ in a.transitions})
+    assert len(a.transitions) == 2 * (4 ** 5 - 3 ** 5)
+
+
+# -- member runs the sparse word ----------------------------------------------
+
+def test_member_agrees_with_the_coherent_word():
+    rng = random.Random(29)
+    xs = FIXTURES + [random_hda(rng) for _ in range(200)]
+    for x in xs:
+        a = st_of_hda(x)
+        letters = "".join(sorted(x.alphabet))
+        probes = [random_ipomset(rng, alphabet=letters, max_events=4)
+                  for _ in range(3)]
+        probes += [compose(random_chaining_word(rng, alphabet=letters,
+                                                max_events=5, max_width=3))
+                   for _ in range(3)]
+        for p in probes:
+            assert stauto.member(a, p) == accepts_word(a, coherent_word(p))

@@ -15,10 +15,11 @@ from hdalang import (HDA, Cell, DecompositionTooShort, IllegalMove,
                      validate_path, word_ipomset)
 from hdalang.hda import composite_faces, essential_cells
 
-from fixtures import (a_loop, ab_c_rectangle, branching_square, filled_square,
-                      one_letter_chain, parallel_square, random_hda,
-                      random_up, rectangle_pair, track_hda, two_lane_loop)
-from oracles import up_steps_oracle
+from fixtures import (a_loop, ab_c_rectangle, branching_square, cube,
+                      filled_square, one_letter_chain, parallel_square,
+                      random_hda, random_up, rectangle_pair, track_hda,
+                      two_lane_loop)
+from oracles import hda_problems_oracle, up_steps_oracle
 
 
 # -- validation --------------------------------------------------------------
@@ -68,6 +69,62 @@ def test_precubical_identity_checked():
         HDA(cells, ["u"], ["u"])
     assert any(p.code == "PrecubicalIdentityViolation"
                for p in exc.value.problems)
+
+
+def problems_of(cells, start, accept):
+    try:
+        HDA(cells, start, accept)
+    except InvalidHDA as exc:
+        return list(exc.problems)
+    return []
+
+
+def broken_cube(rng, d):
+    """The cells of the d-cube with a few faces swapped between
+    coordinates or sides, pointed at another cell with the same events,
+    or at a missing one."""
+    cells = {c.id: c for c in cube(d).cells.values()}
+    by_events = {}
+    for c in cells.values():
+        by_events.setdefault(c.events, []).append(c.id)
+    for _ in range(rng.randint(1, 3)):
+        c = cells[rng.choice([cid for cid, c in cells.items() if c.dim])]
+        lower, upper = list(c.lower), list(c.upper)
+        i, j = rng.randrange(c.dim), rng.randrange(c.dim)
+        fault = rng.choice(("swap", "sides", "relabel", "relabel", "gone"))
+        if fault == "swap":
+            lower[i], lower[j] = lower[j], lower[i]
+        elif fault == "sides":
+            lower[i], upper[i] = upper[i], lower[i]
+        elif fault == "relabel":
+            lower[i] = rng.choice(by_events[cells[lower[i]].events])
+        else:
+            upper[j] = "gone"
+        cells[c.id] = Cell(c.id, c.events, tuple(lower), tuple(upper))
+    return list(cells.values())
+
+
+def test_validation_matches_the_face_lookup_reference():
+    rng = random.Random(61)
+    for x in [filled_square(), branching_square(), parallel_square(),
+              a_loop(), one_letter_chain(), two_lane_loop(), rectangle_pair(),
+              cube(4)] + [random_hda(rng) for _ in range(50)]:
+        cells = list(x.cells.values())
+        assert problems_of(cells, x.start, x.accept) == []
+        assert hda_problems_oracle(cells, x.start, x.accept) == []
+    codes = set()
+    for d in (2, 3, 3, 4) * 15:
+        cells = broken_cube(rng, d)
+        start, accept = ["c" + "0" * d], ["c" + "1" * d]
+        if rng.random() < 0.2:
+            start.append("nope")
+        if rng.random() < 0.2:
+            cells.append(cells[0])
+        problems = problems_of(cells, start, accept)
+        assert problems == hda_problems_oracle(cells, start, accept)
+        codes |= {p.code for p in problems}
+    assert codes == {"DanglingReference", "DuplicateCell",
+                     "FaceLabelMismatch", "PrecubicalIdentityViolation"}
 
 
 def test_alphabet_collects_cell_labels():

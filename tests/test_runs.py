@@ -6,15 +6,17 @@ import random
 
 import pytest
 
-from hdalang import (HDA, accepts_word, build, coherent_word,
+from hdalang import (HDA, Step, accepts_word, build, coherent_word,
                      complement_empty, complement_member,
-                     count_sparse_accepting_paths, discrete_ipomset,
-                     enumerate_wang, identity_step, is_deterministic_language,
-                     parse_ipomset, pre_set, st_of_hda, stauto, word_ipomset)
+                     count_sparse_accepting_paths, discrete_ipomset, empty,
+                     enumerate_wang, identity_step, include,
+                     is_deterministic_language, member, parse_ipomset,
+                     pre_set, st_of_hda, stauto, word_ipomset)
 from hdalang.hda import _segment_relation
 from hdalang.text import print_ipomset
 
-from fixtures import (a_loop, ab_c_rectangle, branching_square, filled_square,
+from fixtures import (a_loop, ab_c_rectangle, branching_square, cube,
+                      filled_square,
                       hda_union, one_letter_chain, parallel_square,
                       random_hda, random_ipomset, random_up, rectangle_pair,
                       track_hda, two_lane_loop)
@@ -194,3 +196,57 @@ def test_complements_below_the_dimension_reuse_the_compiled_automaton(builds):
     assert complement_member(x, 1, p) == complement_member(x, 1, p)
     complement_empty(x, 1)
     assert builds == {"compiled": [x], "hdas": 0}
+
+
+# -- identity letters only where a word is spelled out --------------------------
+
+@pytest.fixture
+def identities(monkeypatch):
+    """Record the conclist of every identity step constructed."""
+    built = []
+    init = Step.__init__
+
+    def constructing(self, kind, conclist, marked):
+        if kind == "identity":
+            built.append(conclist)
+        init(self, kind, conclist, marked)
+
+    monkeypatch.setattr(Step, "__init__", constructing)
+    return built
+
+
+def test_searches_spell_identities_only_for_the_witness(identities):
+    x = cube(4)
+    a = st_of_hda(x)
+    assert include(x, x) == (True, None)
+    assert identities == []
+    ok, witness = empty(x)
+    assert not ok and print_ipomset(witness) == "[a0+ a1+ a2+ a3+][a0- a1- a2- a3-]"
+    spelled = len(identities)
+    word = stauto._uncovered(a, a.initial, a, ())
+    assert spelled == sum(s.kind == "identity" for s in word) == 3
+
+
+def test_member_of_a_long_word_builds_no_identity(identities):
+    x = a_loop()
+    p = parse_ipomset("[a+][a-]" * 200)
+    st_of_hda(x)
+    identities.clear()
+    assert member(x, p)
+    assert identities == []
+
+
+def test_member_reads_the_width_bound_not_the_cells(monkeypatch):
+    x = cube(3)
+    st_of_hda(x)
+    scans = []
+    dim = HDA.dim
+
+    def counting(self):
+        scans.append(self)
+        return dim(self)
+
+    monkeypatch.setattr(HDA, "dim", counting)
+    assert member(x, parse_ipomset("[a0+ a1+ a2+][a0- a1- a2-]"))
+    assert not member(x, parse_ipomset("[a0+ a0+ a1+ a2+][a0- a0- a1- a2-]"))
+    assert scans == []
