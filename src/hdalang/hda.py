@@ -13,7 +13,7 @@ import itertools
 import json
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .ipomset import (Ipomset, Problem, Step, StepWord, compose,
                       identity_step, sparse_decomposition, starter,
@@ -46,9 +46,11 @@ class DecompositionTooShort(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Cell:
-    """One cell: its id, its conclist, and its lower and upper face ids."""
+class Cell(NamedTuple):
+    """One cell: its id, its conclist, and its lower and upper face ids.
+
+    An immutable named tuple, which is quicker to build than a frozen
+    dataclass; the code reads its fields by name."""
     id: str
     events: tuple[str, ...]
     lower: tuple[str, ...]
@@ -72,7 +74,7 @@ class HDA:
     """
 
     __slots__ = ("alphabet", "cells", "start", "accept",
-                 "_by_conclist", "_step_graph", "_st")
+                 "_by_conclist", "_step_graph", "_st", "_tables")
 
     def __init__(self, cells: Iterable[Cell], start: Iterable[str],
                  accept: Iterable[str], alphabet: Iterable[str] = ()):
@@ -91,6 +93,7 @@ class HDA:
         problems += self._validate()
         if problems:
             raise InvalidHDA(problems)
+        self._tables: list[list[_FaceEntry]] = []  # by dimension
         self._by_conclist: dict[tuple[str, ...], tuple[str, ...]] | None = None
         self._step_graph = None
         self._st = None  # set by stauto.st_of_hda
@@ -99,50 +102,69 @@ class HDA:
 
     def _validate(self) -> list[Problem]:
         out: list[Problem] = []
+        cells = self.cells
         for name, ids in (("start", self.start), ("accept", self.accept)):
-            for i in sorted(ids - set(self.cells)):
+            for i in sorted(ids - cells.keys()):
                 out.append(Problem("DanglingReference", (i,),
                                    f"{name} cell {i!r} does not exist"))
-        for c in self.cells.values():
-            if len(c.lower) != c.dim or len(c.upper) != c.dim:
-                out.append(Problem(
-                    "FaceArityMismatch", (c.id,),
-                    f"cell {c.id!r} has dimension {c.dim} but "
-                    f"{len(c.lower)} lower and {len(c.upper)} upper faces"))
-                continue
-            broken = False
-            for fid in c.lower + c.upper:
-                if fid not in self.cells:
-                    out.append(Problem("DanglingReference", (c.id, fid),
-                                       f"face {fid!r} of cell {c.id!r} "
-                                       "does not exist"))
-                    broken = True
-            if broken:
-                continue
-            expect = [c.events[:i] + c.events[i + 1:] for i in range(c.dim)]
-            for side, faces in (("lower", c.lower), ("upper", c.upper)):
-                for i, fid in enumerate(faces):
-                    if self.cells[fid].events != expect[i]:
-                        out.append(Problem(
-                            "FaceLabelMismatch", (c.id, fid),
-                            f"{side} face {i} of {c.id!r} should have events "
-                            f"{expect[i]}, but {fid!r} has "
-                            f"{self.cells[fid].events}"))
+        # each conclist with one event dropped, as its faces must carry it
+        expected: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
+        for c in cells.values():
+            events, lower, upper = c.events, c.lower, c.upper
+            expect = expected.get(events)
+            if expect is None:
+                expect = expected[events] = [events[:i] + events[i + 1:]
+                                             for i in range(len(events))]
+            try:
+                if ([cells[f].events for f in lower] == expect
+                        and [cells[f].events for f in upper] == expect):
+                    continue
+            except KeyError:
+                pass
+            out += self._cell_problems(c, expect)
         if out:
             return out
-        # faces[id][side][i] is the face of a cell at coordinate i
-        faces = {cid: (c.lower, c.upper) for cid, c in self.cells.items()}
-        for c in self.cells.values():
-            own = faces[c.id]
-            for i, j in itertools.combinations(range(c.dim), 2):
-                for t1, t2 in itertools.product((0, 1), repeat=2):
-                    a = faces[own[t2][j]][t1][i]
-                    b = faces[own[t1][i]][t2][j - 1]
-                    if a != b:
-                        out.append(Problem(
-                            "PrecubicalIdentityViolation", (c.id, i, j),
-                            f"faces of {c.id!r} at coordinates {i},{j} "
-                            f"(sides {t1},{t2}) disagree: {a!r} vs {b!r}"))
+        faces = {cid: c.lower + c.upper for cid, c in cells.items()}
+        quads: dict[int, list[tuple[int, int, int, int]]] = {}
+        for cid, own in faces.items():
+            d = len(own) // 2
+            if d < 2:
+                continue
+            if d not in quads:
+                quads[d] = _identity_quads(d)
+            for p, q, r, s in quads[d]:
+                a, b = faces[own[p]][q], faces[own[r]][s]
+                if a != b:
+                    (t2, j), (t1, i) = divmod(p, d), divmod(r, d)
+                    out.append(Problem(
+                        "PrecubicalIdentityViolation", (cid, i, j),
+                        f"faces of {cid!r} at coordinates {i},{j} "
+                        f"(sides {t1},{t2}) disagree: {a!r} vs {b!r}"))
+        return out
+
+    def _cell_problems(self, c: Cell, expect: list[tuple[str, ...]]
+                       ) -> list[Problem]:
+        """What is wrong with the faces of one cell: their number, then
+        ids that name no cell, then conclists that are not the cell's own
+        with one event dropped."""
+        if len(c.lower) != c.dim or len(c.upper) != c.dim:
+            return [Problem("FaceArityMismatch", (c.id,),
+                            f"cell {c.id!r} has dimension {c.dim} but "
+                            f"{len(c.lower)} lower and {len(c.upper)} "
+                            "upper faces")]
+        out = [Problem("DanglingReference", (c.id, fid),
+                       f"face {fid!r} of cell {c.id!r} does not exist")
+               for fid in c.lower + c.upper if fid not in self.cells]
+        if out:
+            return out
+        for side, faces in (("lower", c.lower), ("upper", c.upper)):
+            for i, fid in enumerate(faces):
+                if self.cells[fid].events != expect[i]:
+                    out.append(Problem(
+                        "FaceLabelMismatch", (c.id, fid),
+                        f"{side} face {i} of {c.id!r} should have events "
+                        f"{expect[i]}, but {fid!r} has "
+                        f"{self.cells[fid].events}"))
         return out
 
     def _elem(self, cell_id: str, side: int, i: int) -> str:
@@ -170,8 +192,8 @@ class HDA:
             graph: dict[str, list[tuple[frozenset[int], str]]] = {
                 cid: [] for cid in self.cells}
             for y in self.cells.values():
-                for a, x, _ in composite_faces(self, y):
-                    graph[x].append((frozenset(a), y.id))
+                for a, x in _faces(self, y, 0):
+                    graph[x].append((a, y.id))
             self._step_graph = graph
         return self._step_graph
 
@@ -193,21 +215,80 @@ def face(hda: HDA, cell_id: str, side: int, positions: Iterable[int]) -> str:
     return cur
 
 
+# One entry of a face table: a nonempty position tuple a, frozenset(a),
+# its first position a[0], and the column that holds the faces at a[1:]
+# (see _face_columns; column 0 holds the cells themselves).
+_FaceEntry = tuple[tuple[int, ...], frozenset[int], int, int]
+
+
+def _new_face_table(d: int) -> list[_FaceEntry]:
+    """The entries of every nonempty position tuple of a d-cell, by size
+    and then in ``combinations`` order; entry k describes column k + 1."""
+    index: dict[tuple[int, ...], int] = {(): 0}
+    table: list[_FaceEntry] = []
+    for r in range(1, d + 1):
+        for a in itertools.combinations(range(d), r):
+            table.append((a, frozenset(a), a[0], index[a[1:]]))
+            index[a] = len(table)
+    return table
+
+
+def _face_table(hda: HDA, d: int) -> list[_FaceEntry]:
+    """The face table of dimension d, built once per automaton."""
+    tables = hda._tables
+    while len(tables) <= d:
+        tables.append(_new_face_table(len(tables)))
+    return tables[d]
+
+
+def _face_columns(hda: HDA, d: int, ids: list[str], side: int
+                  ) -> list[list[str]]:
+    """The composite faces of the d-cells ``ids`` on one side (0 lower,
+    1 upper), in columns: column 0 is ``ids``, and column k + 1 holds
+    each cell's face at the positions a of face-table entry k.  That face
+    is face a[0] of the face at a[1:], which an earlier column holds."""
+    cells = hda.cells
+    columns = [ids]
+    for _, _, i, rest in _face_table(hda, d):
+        if side:
+            columns.append([cells[f].upper[i] for f in columns[rest]])
+        else:
+            columns.append([cells[f].lower[i] for f in columns[rest]])
+    return columns
+
+
+def _faces(hda: HDA, cell: Cell, side: int
+           ) -> list[tuple[frozenset[int], str]]:
+    """``(frozenset(a), the face of the cell at a on one side)`` for every
+    nonempty position tuple a, in face-table order."""
+    d = len(cell.events)
+    return [(marks, x) for (_, marks, _, _), (x,) in zip(
+        _face_table(hda, d), _face_columns(hda, d, [cell.id], side)[1:])]
+
+
 def composite_faces(hda: HDA, cell: Cell
                     ) -> Iterator[tuple[tuple[int, ...], str, str]]:
     """For every nonempty position tuple a of the cell, by size and then in
     ``combinations`` order: ``(a, face(.., 0, a), face(.., 1, a))``.
 
-    Each composite face is one face map away from the face at ``a[1:]``,
-    which comes earlier, so the table costs one lookup per entry."""
-    cells = hda.cells
-    lower = {(): cell.id}
-    upper = {(): cell.id}
-    for r in range(1, cell.dim + 1):
-        for a in itertools.combinations(range(cell.dim), r):
-            x = lower[a] = cells[lower[a[1:]]].lower[a[0]]
-            z = upper[a] = cells[upper[a[1:]]].upper[a[0]]
-            yield a, x, z
+    The positions come from the automaton's face table of the cell's
+    dimension, and each face costs one lookup (see ``_face_columns``)."""
+    d = len(cell.events)
+    lower = _face_columns(hda, d, [cell.id], 0)
+    upper = _face_columns(hda, d, [cell.id], 1)
+    for (a, _, _, _), (x,), (z,) in zip(_face_table(hda, d), lower[1:],
+                                        upper[1:]):
+        yield a, x, z
+
+
+def _identity_quads(d: int) -> list[tuple[int, int, int, int]]:
+    """The precubical identities of a d-cell, for i < j in
+    ``combinations`` order and then sides t1, t2, as indices into face
+    tuples ``lower + upper``: (p, q, r, s) says that face q of face p
+    equals face s of face r, that is d_i^t1 d_j^t2 = d_{j-1}^t2 d_i^t1."""
+    return [(t2 * d + j, t1 * (d - 1) + i, t1 * d + i, t2 * (d - 1) + j - 1)
+            for i, j in itertools.combinations(range(d), 2)
+            for t1, t2 in itertools.product((0, 1), repeat=2)]
 
 
 def skeleton(hda: HDA, k: int) -> HDA:
@@ -246,25 +327,26 @@ def hda_from_dict(data: dict) -> HDA:
         problems.append(Problem("FieldType", (field,), f"{field} must be "
                                 f"{kind}, got {value!r}"))
 
-    def string(value, field: str) -> str:
-        if isinstance(value, str):
-            return value
-        wrong(value, field, "a string")
-        return ""
-
     def strings(value, field: str) -> tuple[str, ...]:
-        if (isinstance(value, (list, tuple))
-                and all(isinstance(v, str) for v in value)):
-            return tuple(value)
-        wrong(value, field, "a list of strings")
-        return ()
+        got = _strings(value)
+        if got is None:
+            wrong(value, field, "a list of strings")
+        return got or ()
 
     try:
-        cells = [Cell(string(c["id"], f"id of cell {i}"),
-                      strings(c["events"], f"events of {c['id']!r}"),
-                      strings(c["d0"], f"d0 of {c['id']!r}"),
-                      strings(c["d1"], f"d1 of {c['id']!r}"))
-                 for i, c in enumerate(data["cells"])]
+        cells = []
+        for i, c in enumerate(data["cells"]):
+            cid = c["id"]
+            events, d0, d1 = (_strings(c["events"]), _strings(c["d0"]),
+                              _strings(c["d1"]))
+            if (isinstance(cid, str) and events is not None
+                    and d0 is not None and d1 is not None):
+                cells.append(Cell(cid, events, d0, d1))
+                continue
+            if not isinstance(cid, str):
+                wrong(cid, f"id of cell {i}", "a string")
+            for key in ("events", "d0", "d1"):
+                strings(c[key], f"{key} of {cid!r}")
         start = strings(data["start"], "start")
         accept = strings(data["accept"], "accept")
         alphabet = strings(data.get("alphabet", []), "alphabet")
@@ -274,6 +356,14 @@ def hda_from_dict(data: dict) -> HDA:
     if problems:
         raise InvalidHDA(problems)
     return HDA(cells, start, accept, alphabet)
+
+
+def _strings(value) -> tuple[str, ...] | None:
+    """``value`` as a tuple when it is a list or tuple of strings."""
+    if (isinstance(value, (list, tuple))
+            and all(map(isinstance, value, itertools.repeat(str)))):
+        return tuple(value)
+    return None
 
 
 def dump_hda(hda: HDA, path: str) -> None:
@@ -440,12 +530,12 @@ def is_deterministic_hda(hda: HDA) -> tuple[bool, str | None]:
     seen: dict[tuple[str, tuple[str, ...], frozenset[int]], str] = {}
     for y in sorted(ess):
         c = hda.cells[y]
-        for a, x, _ in composite_faces(hda, c):
-            key = (x, c.events, frozenset(a))
+        for marks, x in _faces(hda, c, 0):
+            key = (x, c.events, marks)
             if key in seen and seen[key] != y:
                 return False, (
                     f"cells {seen[key]!r} and {y!r} both start events at "
-                    f"coordinates {sorted(a)} from cell {key[0]!r}")
+                    f"coordinates {sorted(marks)} from cell {key[0]!r}")
             seen[key] = y
     return True, None
 
@@ -520,8 +610,8 @@ def enumerate_language(hda: HDA, max_steps: int) -> set[tuple]:
                 queue.append((y, "starter", w2))
         if last != "terminator":
             c = hda.cells[cell]
-            for b, _, y in composite_faces(hda, c):
-                st = terminator(c.events, b)
+            for b, y in _faces(hda, c, 1):
+                st = Step("terminator", c.events, b)
                 w2 = word + (st.key(),)
                 if (y, w2) in seen:
                     continue

@@ -317,15 +317,17 @@ class Step:
                  marked: frozenset[int]):
         if kind not in _KINDS:
             raise ValueError(f"unknown step kind: {kind}")
-        for p in marked:
-            if not (0 <= p < len(conclist)):
-                raise ValueError(f"marked position out of range: {p}")
+        ordered = tuple(sorted(marked))
+        if ordered and (ordered[0] < 0 or ordered[-1] >= len(conclist)):
+            for p in marked:  # name the first bad one in the set's order
+                if not (0 <= p < len(conclist)):
+                    raise ValueError(f"marked position out of range: {p}")
         if (kind == "identity") != (not marked):
             raise ValueError("identity steps are exactly the unmarked ones")
         self.kind = kind
         self.conclist = conclist
         self.marked = marked
-        self._key = (kind, conclist, tuple(sorted(marked)))
+        self._key = (kind, conclist, ordered)
         self._hash = hash((kind, conclist, marked))
         rest = (tuple([l for i, l in enumerate(conclist) if i not in marked])
                 if marked else conclist)

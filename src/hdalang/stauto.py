@@ -15,8 +15,8 @@ from collections import deque
 from typing import Iterable, Iterator, Sequence
 
 from .ipomset import (Ipomset, Problem, Step, StepWord, compose, identity_step,
-                      sparse_decomposition, starter, terminator, _letters)
-from .hda import HDA, composite_faces
+                      sparse_decomposition, _letters)
+from .hda import HDA, _face_columns, _face_table
 
 
 class InvalidSTAutomaton(ValueError):
@@ -31,8 +31,8 @@ class STAutomaton:
     ``states`` maps state ids to conclists, ``width_bound`` records the
     largest conclist the automaton is meant to range over (None leaves it
     unspecified).  The transitions, (source id, step, target id) triples,
-    are checked and indexed in one pass into ``successors``, which is all
-    the automaton keeps of them: ``state -> {step: targets}`` with each
+    are checked and indexed into ``successors``, which is all the
+    automaton keeps of them: ``state -> {step: targets}`` with each
     state's steps in ``Step.key()`` order and the targets a sorted tuple;
     every run below steps through it.  ``transitions``, the set of
     triples, is derived from the index the first time it is read.
@@ -56,7 +56,9 @@ class STAutomaton:
         self.final = frozenset(final)
         self.width_bound = width_bound
         self._transitions: frozenset[tuple[str, Step, str]] | None = None
-        self.successors = self._index(transitions)
+        self.successors = self._index(
+            transitions.groups if isinstance(transitions, _Grouped)
+            else ((s, (q,), (r,)) for q, s, r in transitions))
 
     @property
     def transitions(self) -> frozenset[tuple[str, Step, str]]:
@@ -66,11 +68,19 @@ class STAutomaton:
                 for s, targets in row.items() for r in targets)
         return self._transitions
 
-    def _index(self, transitions: Iterable[tuple[str, Step, str]]
+    def _index(self, groups: Iterable[_Group]
                ) -> dict[str, dict[Step, tuple[str, ...]]]:
-        """Check every transition and index it, in one pass.  Problems
-        are sorted into their report order only when there are any:
-        transitions by (source, target, step key), each reported once."""
+        """Check every transition and index it.  Problems are sorted into
+        their report order only when there are any: transitions by
+        (source, target, step key), each reported once.
+
+        The groups of equal steps are merged, with one hash per group,
+        and the distinct steps sorted by ``Step.key()`` once.  Each step
+        is then added to the rows of all its sources in turn, so every
+        row comes out in key order without being sorted or rebuilt; each
+        transition is checked as it is added, with one hash, and a
+        (state, step) pair with several targets takes one more per
+        target after the first."""
         states = self.states
         problems = []
         for name, ids in (("initial", self.initial), ("final", self.final)):
@@ -82,44 +92,80 @@ class STAutomaton:
             problems.append(Problem(
                 "DanglingReference", (lab,),
                 f"state label {lab!r} is not in the alphabet"))
+        faulty: list[tuple[str, Step, str]] = []
+        merged: dict[Step, tuple[list[str], list[str]]] = {}
+        for s, sources, targets in groups:
+            if s.kind == "identity":
+                faulty += zip(sources, itertools.repeat(s), targets)
+                continue
+            qs, rs = merged.setdefault(s, ([], []))
+            qs += sources
+            rs += targets
         index: dict[str, dict[Step, tuple[str, ...]]] = {q: {} for q in states}
-        found: dict[tuple, Problem] = {}
-        for q, s, r in transitions:
-            row, into = index.get(q), states.get(r)
-            if row is None or into is None:
-                found[q, r, s.key(), 0] = Problem(
-                    "DanglingReference", (q, r),
-                    f"transition endpoint missing: {q!r}->{r!r}")
-            elif s.kind == "identity":
-                found[q, r, s.key(), 0] = Problem(
-                    "IdentityTransition", (q, r),
-                    "identity steps are implicit and may not "
-                    "be stored as transitions")
-            else:
-                src, tgt = s.source_conclist(), s.target_conclist()
-                if src == states[q] and tgt == into:
-                    one = (r,)
-                    targets = row.setdefault(s, one)
-                    if targets is not one and r not in targets:
-                        row[s] = tuple(sorted(targets + one))
+        alone = {r: (r,) for r in states}  # one-target tuples, shared by rows
+        for s, (qs, rs) in sorted(merged.items(), key=_step_key):
+            src, tgt = s.source_conclist(), s.target_conclist()
+            for q, r in zip(qs, rs):
+                if states.get(q) != src or states.get(r) != tgt:
+                    faulty.append((q, s, r))
                     continue
-                if src != states[q]:
-                    found[q, r, s.key(), 0] = Problem(
-                        "StateLabelMismatch", (q,),
-                        f"step out of {q!r} starts from {src}, "
-                        f"but the state is labelled {states[q]}")
-                if tgt != into:
-                    found[q, r, s.key(), 1] = Problem(
-                        "StateLabelMismatch", (r,),
-                        f"step into {r!r} ends in {tgt}, "
-                        f"but the state is labelled {into}")
-        problems += [found[k] for k in sorted(found)]
+                one = alone[r]
+                targets = index[q].setdefault(s, one)
+                if targets is not one and r not in targets:
+                    index[q][s] = tuple(sorted(targets + one))
+        problems += _problems(states, faulty)
         if problems:
             raise InvalidSTAutomaton(problems)
-        for q, row in index.items():
-            if len(row) > 1:
-                index[q] = {s: row[s] for s in sorted(row, key=Step.key)}
         return index
+
+
+def _problems(states: dict[str, tuple[str, ...]],
+              faulty: Iterable[tuple[str, Step, str]]) -> list[Problem]:
+    """What is wrong with each of the faulty transitions, sorted by
+    (source, target, step key), each problem once."""
+    found: dict[tuple, Problem] = {}
+    for q, s, r in faulty:
+        if q not in states or r not in states:
+            found[q, r, s.key(), 0] = Problem(
+                "DanglingReference", (q, r),
+                f"transition endpoint missing: {q!r}->{r!r}")
+        elif s.kind == "identity":
+            found[q, r, s.key(), 0] = Problem(
+                "IdentityTransition", (q, r),
+                "identity steps are implicit and may not "
+                "be stored as transitions")
+        else:
+            src, tgt = s.source_conclist(), s.target_conclist()
+            if src != states[q]:
+                found[q, r, s.key(), 0] = Problem(
+                    "StateLabelMismatch", (q,),
+                    f"step out of {q!r} starts from {src}, "
+                    f"but the state is labelled {states[q]}")
+            if tgt != states[r]:
+                found[q, r, s.key(), 1] = Problem(
+                    "StateLabelMismatch", (r,),
+                    f"step into {r!r} ends in {tgt}, "
+                    f"but the state is labelled {states[r]}")
+    return [found[k] for k in sorted(found)]
+
+
+# transitions over one step object: (step, sources, targets), transition i
+# running from sources[i] to targets[i]
+_Group = tuple[Step, Sequence[str], Sequence[str]]
+
+
+def _step_key(item: tuple[Step, object]) -> tuple:
+    return item[0].key()
+
+
+class _Grouped:
+    """Transitions that come grouped by step object, as ``_compile``
+    streams them; STAutomaton takes them in place of triples."""
+
+    __slots__ = ("groups",)
+
+    def __init__(self, groups: Iterable[_Group]):
+        self.groups = groups
 
 
 def st_of_hda(hda: HDA) -> STAutomaton:
@@ -135,28 +181,36 @@ def st_of_hda(hda: HDA) -> STAutomaton:
 
 
 def _compile(hda: HDA) -> STAutomaton:
-    """Stream every cell's transitions into STAutomaton.  The starters
-    and terminators of a conclist are built once, in ``composite_faces``
-    order, and shared by every cell that carries it."""
-    cells = hda.cells
-    letters: dict[tuple[str, ...], tuple[list[Step], list[Step]]] = {}
+    """Compile the cells of each conclist together: their composite faces
+    come column by column from the face table (``hda._face_columns``),
+    and each starter and terminator of the conclist is built once, from
+    the table's frozensets, with the transitions of all those cells."""
+    # the cells of each conclist; the conclists are spelled with one string
+    # object per label, so that comparing two of them finds each label at
+    # once
+    spelled: dict[str, str] = {}
+    by_conclist: dict[tuple[str, ...], tuple[tuple[str, ...], list[str]]] = {}
+    states: dict[str, tuple[str, ...]] = {}
+    for c in hda.cells.values():
+        group = by_conclist.get(c.events)
+        if group is None:
+            group = by_conclist[c.events] = (
+                tuple([spelled.setdefault(l, l) for l in c.events]), [])
+        states[c.id] = group[0]
+        group[1].append(c.id)
 
-    def transitions() -> Iterator[tuple[str, Step, str]]:
-        for y in cells.values():
-            steps = letters.get(y.events)
-            if steps is None:
-                marks = [a for r in range(1, y.dim + 1)
-                         for a in itertools.combinations(range(y.dim), r)]
-                steps = letters[y.events] = (
-                    [starter(y.events, a) for a in marks],
-                    [terminator(y.events, a) for a in marks])
-            for (_, x, z), up, down in zip(composite_faces(hda, y), *steps):
-                yield x, up, y.id
-                yield y.id, down, z
+    def groups() -> Iterator[_Group]:
+        for events, ids in by_conclist.values():
+            d = len(events)
+            lower = _face_columns(hda, d, ids, 0)
+            upper = _face_columns(hda, d, ids, 1)
+            for (_, a, _, _), xs, zs in zip(_face_table(hda, d), lower[1:],
+                                            upper[1:]):
+                yield Step("starter", events, a), xs, ids
+                yield Step("terminator", events, a), ids, zs
 
-    states = {cid: c.events for cid, c in cells.items()}
-    return STAutomaton(hda.alphabet, states, transitions(),
-                       hda.start, hda.accept, width_bound=hda.dim())
+    return STAutomaton(hda.alphabet, states, _Grouped(groups()), hda.start,
+                       hda.accept, width_bound=hda.dim())
 
 
 def coherent_word(p: Ipomset) -> tuple[Step, ...]:

@@ -22,7 +22,11 @@ generated by separate loops, as the library did before it split, merged
 and generated step words one way each.  HDA validation looks each face
 up through a call, and the successor index is built from a stored set of
 triples grouped by step, as the library did before it read faces from a
-local table and indexed each transition as it arrived.
+local table and indexed each transition as it arrived.  The index is also
+built one transition at a time, each row sorted by step key afterwards,
+and composite faces are found through a dict keyed by position tuples, as
+the library did before it compiled cells through per-dimension face
+tables and added the steps to the rows in key order.
 """
 import itertools
 from collections import deque
@@ -335,6 +339,32 @@ def successors_oracle(states, transitions):
         for q, r in sorted(by_step[s]):
             index[q][s] = index[q].get(s, ()) + (r,)
     return index
+
+
+def index_oracle(states, transitions):
+    """The successor index of valid transitions as the library built it
+    one transition at a time: a row entry per new (state, step) pair,
+    targets merged into a sorted tuple, and every row sorted by step key
+    at the end."""
+    index = {q: {} for q in states}
+    for q, s, r in transitions:
+        targets = index[q].setdefault(s, (r,))
+        if r not in targets:
+            index[q][s] = tuple(sorted(targets + (r,)))
+    return {q: {s: row[s] for s in sorted(row, key=lambda s: s.key())}
+            for q, row in index.items()}
+
+
+def composite_faces_oracle(hda, cell):
+    """``composite_faces`` as a list, each face found one face map away
+    from the face at ``a[1:]`` in a dict keyed by position tuples."""
+    lower, upper, out = {(): cell.id}, {(): cell.id}, []
+    for r in range(1, cell.dim + 1):
+        for a in itertools.combinations(range(cell.dim), r):
+            lower[a] = hda.cells[lower[a[1:]]].lower[a[0]]
+            upper[a] = hda.cells[upper[a[1:]]].upper[a[0]]
+            out.append((a, lower[a], upper[a]))
+    return out
 
 
 def st_problems_oracle(alphabet, states, transitions, initial, final):

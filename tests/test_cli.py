@@ -6,7 +6,7 @@ import os
 import string
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hdalang import cli, dump_hda, load_hda
 from hdalang.cli import main
@@ -453,16 +453,44 @@ def test_every_command_reports_a_malformed_file_as_bad_input(fuzz_dir, argv, raw
         assert (code, record["status"]) == (2, "error"), record
 
 
+# the options of each command that takes an ipomset or a description,
+# besides -h and --help
+OPTIONS = {"member": (), "count-paths": (), "complement-member": ("-k", "--width"),
+           "pump": ("-m", "--cut", "-r", "--repeat"),
+           "build": ("-l", "--letter", "-o", "--output")}
+
+
+def read_as_option(value, options):
+    """argparse's rule: a value that begins with "-" is read as an option,
+    except "-" alone and a value that holds a space.  Even with a space
+    it is an option when it begins with a short option, which takes the
+    rest as its argument, or when it abbreviates a long option before
+    an "=" (several long ones make it ambiguous, an error as well)."""
+    if not value.startswith("-") or value == "-":
+        return False
+    if " " not in value:
+        return True
+    options = ("-h", "--help") + options
+    if value.startswith("--"):
+        head, eq, _ = value.partition("=")
+        return bool(eq) and any(o.startswith(head) for o in options)
+    return value[:2] in options
+
+
 @given(st.sampled_from([(c, k) for c in COMMANDS for k in "PUK" if k in c])
        .flatmap(lambda ck: st.tuples(st.just(ck[0]), st.just(ck[1]),
                                      malformed[ck[1]])))
+@example(case=(["oneletter", "build", "U", "-o", "O"], "U", "- ?"))
+@example(case=(["member", "A", "P"], "P", "-a b["))
+@example(case=(["pump", "A", "P", "-m", "K", "-r", "K"], "P", "-m 1["))
 @settings(max_examples=300, deadline=None)
 def test_every_command_reports_a_malformed_argument_as_bad_input(fuzz_dir, case):
     argv, slot, bad = case
     values = dict(GOOD, O=str(fuzz_dir / "out"), **{slot: bad})
     code, record, err = call([values.get(a, a) for a in argv])
     assert "Traceback" not in err and code == 2
-    if slot == "K" or bad.startswith("-"):
+    command = argv[1] if argv[0] == "oneletter" else argv[0]
+    if slot == "K" or read_as_option(bad, OPTIONS[command]):
         # argparse rejects a bad count, or reads an option, before any
         # command runs
         assert record == {} and "usage:" in err

@@ -6,16 +6,16 @@ import pytest
 
 from hdalang import (HDA, InvalidSTAutomaton, STAutomaton, Step, accepts,
                      accepts_word, coherent_word, compose, empty, equivalent,
-                     identity_step, include, member, st_of_hda, stauto,
-                     starter, terminator)
+                     identity_step, include, member, skeleton, st_of_hda,
+                     stauto, starter, terminator)
 from hdalang.text import parse_step_word, print_ipomset, print_step
 
 from fixtures import (a_loop, ab_c_rectangle, branching_square, cube,
                       filled_square, hda_union, one_letter_chain,
                       parallel_square, random_chaining_word, random_hda,
                       random_ipomset, rectangle_pair, two_lane_loop)
-from oracles import (emptiness_oracle, inclusion_oracle, member_oracle,
-                     st_of_hda_oracle, st_problems_oracle,
+from oracles import (emptiness_oracle, inclusion_oracle, index_oracle,
+                     member_oracle, st_of_hda_oracle, st_problems_oracle,
                      st_transitions_oracle, successors_oracle)
 
 FIXTURES = [filled_square(), branching_square(), parallel_square(), a_loop(),
@@ -232,6 +232,44 @@ def test_compiling_builds_one_step_per_distinct_step(monkeypatch):
     steps = {s for row in a.successors.values() for s in row}
     assert len(built) == len(steps) == len({id(s) for _, s, _ in a.transitions})
     assert len(a.transitions) == 2 * (4 ** 5 - 3 ** 5)
+
+
+def test_cube_indexes_match_the_references():
+    # content and row order, against the index built from the stored
+    # triples and the one built a transition at a time
+    for d in range(1, 7):
+        x = cube(d)
+        for y in (x, skeleton(x, d - 1)):
+            a, raw = st_of_hda(y), st_transitions_oracle(y)
+            assert rows(a) == rows(st_of_hda_oracle(y))
+            ref = index_oracle(a.states, raw)
+            assert [(q, list(ref[q].items())) for q in a.successors] == rows(a)
+
+
+def test_compiling_keys_each_step_once_and_hashes_little(monkeypatch):
+    keyed, hashed = [], []
+    key, hash_ = Step.key, Step.__hash__
+
+    def counting_key(self):
+        keyed.append(self)
+        return key(self)
+
+    def counting_hash(self):
+        hashed.append(self)
+        return hash_(self)
+
+    x = cube(5)
+    monkeypatch.setattr(Step, "key", counting_key)
+    monkeypatch.setattr(Step, "__hash__", counting_hash)
+    a = st_of_hda(x)
+    keys, hashes = len(keyed), len(hashed)
+    monkeypatch.undo()
+    steps = {s for row in a.successors.values() for s in row}
+    transitions = sum(len(t) for row in a.successors.values()
+                      for t in row.values())
+    assert transitions == 2 * (4 ** 5 - 3 ** 5)
+    assert keys <= len(steps)
+    assert hashes <= 2 * transitions
 
 
 # -- member runs the sparse word ----------------------------------------------

@@ -19,7 +19,8 @@ from fixtures import (a_loop, ab_c_rectangle, branching_square, cube,
                       filled_square, one_letter_chain, parallel_square,
                       random_hda, random_up, rectangle_pair, track_hda,
                       two_lane_loop)
-from oracles import hda_problems_oracle, up_steps_oracle
+from oracles import (composite_faces_oracle, hda_problems_oracle,
+                     up_steps_oracle)
 
 
 # -- validation --------------------------------------------------------------
@@ -404,6 +405,51 @@ def test_composite_faces_match_face():
                     for r in range(1, c.dim + 1)
                     for a in itertools.combinations(range(c.dim), r)]
             assert list(composite_faces(x, c)) == want
+
+
+def test_composite_faces_of_cubes_match_the_references():
+    for d in range(1, 6):
+        x = cube(d)
+        for c in x.cells.values():
+            got = list(composite_faces(x, c))
+            assert got == composite_faces_oracle(x, c)
+            assert got == [(a, face(x, c.id, 0, a), face(x, c.id, 1, a))
+                           for a, _, _ in got]
+            assert len(got) == 2 ** c.dim - 1
+
+
+def broken_identities(rng, d):
+    """The cells of the d-cube with a few faces pointed at another cell
+    with the same events, or with the lower and upper face of a
+    coordinate swapped: every face exists and has the right events, so
+    only precubical identities can break."""
+    cells = {c.id: c for c in cube(d).cells.values()}
+    by_events = {}
+    for c in cells.values():
+        by_events.setdefault(c.events, []).append(c.id)
+    for _ in range(rng.randint(1, 3)):
+        c = cells[rng.choice([cid for cid, c in cells.items() if c.dim])]
+        lower, upper = list(c.lower), list(c.upper)
+        i = rng.randrange(c.dim)
+        if rng.random() < 0.5:
+            lower[i], upper[i] = upper[i], lower[i]
+        else:
+            lower[i] = rng.choice(by_events[cells[lower[i]].events])
+        cells[c.id] = Cell(c.id, c.events, tuple(lower), tuple(upper))
+    return list(cells.values())
+
+
+def test_broken_identities_of_cubes_match_the_reference():
+    rng = random.Random(83)
+    broken = 0
+    for d in (3, 4, 5) * 12:
+        cells = broken_identities(rng, d)
+        start, accept = ["c" + "0" * d], ["c" + "1" * d]
+        problems = problems_of(cells, start, accept)
+        assert problems == hda_problems_oracle(cells, start, accept)
+        assert {p.code for p in problems} <= {"PrecubicalIdentityViolation"}
+        broken += bool(problems)
+    assert broken >= 30
 
 
 def test_skeleton_at_full_width_is_the_automaton_itself():

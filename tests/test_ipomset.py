@@ -150,6 +150,14 @@ def test_unmarked_factories_degrade_to_identity():
         Step("starter", ("a",), frozenset())
 
 
+@pytest.mark.parametrize("marked", [{2}, {-1}, {0, 2}, {1, 5}])
+def test_marks_outside_the_conclist_are_rejected(marked):
+    with pytest.raises(ValueError, match="marked position out of range"):
+        Step("starter", ("a", "b"), frozenset(marked))
+    assert Step("starter", ("a", "b"), frozenset({0, 1})).key() == (
+        "starter", ("a", "b"), (0, 1))
+
+
 def test_step_as_ipomset_interfaces():
     p = starter(("a", "b"), (0,)).as_ipomset()
     assert len(p.source) == 1 and len(p.target) == 2
