@@ -16,11 +16,11 @@ import json
 import sys
 
 from . import decide
-from .hda import (DecompositionTooShort, InvalidHDA, NotAccepted,
+from .hda import (HDA, DecompositionTooShort, InvalidHDA, NotAccepted,
                   count_sparse_accepting_paths, dump_hda, load_hda, pump,
                   skeleton)
 from .ipomset import (IdentityHasNoDenseDecomposition, InterfaceMismatch,
-                      InvalidIpomset, ParseError, WidthExceeded,
+                      InvalidIpomset, Ipomset, ParseError, WidthExceeded,
                       dense_decomposition)
 from .oneletter import (InvalidUPFunction, NotUPRepresentable, analyze,
                         build, parse_up, print_up)
@@ -58,28 +58,32 @@ def _cmd_member(args) -> tuple[dict, int]:
     return {"status": _status(ok)}, 0 if ok else 1
 
 
-def _cmd_include(args) -> tuple[dict, int]:
-    ok, witness = decide.include(load_hda(args.left), load_hda(args.right))
+def _answer(ok: bool, witness: Ipomset | None) -> tuple[dict, int]:
+    """The record and exit code of a decision that may come with a
+    witness."""
     record = {"status": _status(ok)}
     if witness is not None:
         record["witness"] = print_ipomset(witness)
     return record, 0 if ok else 1
+
+
+def _bounded(args) -> tuple[HDA, int]:
+    """The automaton and the width bound, by default its dimension."""
+    hda = load_hda(args.automaton)
+    return hda, hda.dim() if args.width is None else args.width
+
+
+def _cmd_include(args) -> tuple[dict, int]:
+    return _answer(*decide.include(load_hda(args.left), load_hda(args.right)))
 
 
 def _cmd_equiv(args) -> tuple[dict, int]:
-    ok, witness = decide.equivalent(load_hda(args.left), load_hda(args.right))
-    record = {"status": _status(ok)}
-    if witness is not None:
-        record["witness"] = print_ipomset(witness)
-    return record, 0 if ok else 1
+    return _answer(*decide.equivalent(load_hda(args.left),
+                                      load_hda(args.right)))
 
 
 def _cmd_empty(args) -> tuple[dict, int]:
-    is_empty, witness = decide.empty(load_hda(args.automaton))
-    record = {"status": _status(is_empty)}
-    if witness is not None:
-        record["witness"] = print_ipomset(witness)
-    return record, 0 if is_empty else 1
+    return _answer(*decide.empty(load_hda(args.automaton)))
 
 
 def _cmd_intersect(args) -> tuple[dict, int]:
@@ -89,24 +93,13 @@ def _cmd_intersect(args) -> tuple[dict, int]:
 
 
 def _cmd_complement_member(args) -> tuple[dict, int]:
-    hda = load_hda(args.automaton)
-    p = parse_ipomset(args.ipomset)
-    k = hda.dim() if args.width is None else args.width
-    ok, witness = decide.complement_member(hda, k, p)
-    record = {"status": _status(ok)}
-    if witness is not None:
-        record["witness"] = print_ipomset(witness)
-    return record, 0 if ok else 1
+    hda, k = _bounded(args)
+    return _answer(*decide.complement_member(hda, k,
+                                             parse_ipomset(args.ipomset)))
 
 
 def _cmd_complement_empty(args) -> tuple[dict, int]:
-    hda = load_hda(args.automaton)
-    k = hda.dim() if args.width is None else args.width
-    is_empty, witness = decide.complement_empty(hda, k)
-    record = {"status": _status(is_empty)}
-    if witness is not None:
-        record["witness"] = print_ipomset(witness)
-    return record, 0 if is_empty else 1
+    return _answer(*decide.complement_empty(*_bounded(args)))
 
 
 def _cmd_deterministic(args) -> tuple[dict, int]:
@@ -191,76 +184,53 @@ def build_parser() -> argparse.ArgumentParser:
                         help="record output format (default: text)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, help_text):
+    def add(name, handler, help_text, *operands):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(handler=handler)
+        for operand in operands:
+            p.add_argument(operand)
         return p
 
-    p = add("validate", _cmd_validate, "check an automaton file")
-    p.add_argument("automaton")
-
-    p = add("member", _cmd_member, "is the ipomset accepted?")
-    p.add_argument("automaton")
-    p.add_argument("ipomset")
-
-    p = add("include", _cmd_include, "is the left language in the right one?")
-    p.add_argument("left")
-    p.add_argument("right")
-
-    p = add("equiv", _cmd_equiv, "do the languages coincide?")
-    p.add_argument("left")
-    p.add_argument("right")
-
-    p = add("empty", _cmd_empty, "is the language empty?")
-    p.add_argument("automaton")
+    add("validate", _cmd_validate, "check an automaton file", "automaton")
+    add("member", _cmd_member, "is the ipomset accepted?",
+        "automaton", "ipomset")
+    add("include", _cmd_include, "is the left language in the right one?",
+        "left", "right")
+    add("equiv", _cmd_equiv, "do the languages coincide?", "left", "right")
+    add("empty", _cmd_empty, "is the language empty?", "automaton")
 
     p = add("intersect", _cmd_intersect,
-            "write an automaton for the intersection")
-    p.add_argument("left")
-    p.add_argument("right")
+            "write an automaton for the intersection", "left", "right")
     p.add_argument("-o", "--output", required=True)
 
-    p = add("complement-member", _cmd_complement_member,
-            "is the ipomset in the width-bounded complement?")
-    p.add_argument("automaton")
-    p.add_argument("ipomset")
-    p.add_argument("-k", "--width", type=_non_negative, default=None,
-                   help="width bound (default: the automaton's dimension)")
+    for p in (add("complement-member", _cmd_complement_member,
+                  "is the ipomset in the width-bounded complement?",
+                  "automaton", "ipomset"),
+              add("complement-empty", _cmd_complement_empty,
+                  "is the width-bounded complement empty?", "automaton")):
+        p.add_argument("-k", "--width", type=_non_negative, default=None,
+                       help="width bound (default: the automaton's dimension)")
 
-    p = add("complement-empty", _cmd_complement_empty,
-            "is the width-bounded complement empty?")
-    p.add_argument("automaton")
-    p.add_argument("-k", "--width", type=_non_negative, default=None,
-                   help="width bound (default: the automaton's dimension)")
+    add("deterministic", _cmd_deterministic,
+        "is the language deterministic?", "automaton")
+    add("deterministic-hda", _cmd_deterministic_hda,
+        "is the automaton structurally deterministic?", "automaton")
+    add("count-paths", _cmd_count_paths,
+        "count sparse accepting paths for an ipomset", "automaton", "ipomset")
 
-    p = add("deterministic", _cmd_deterministic,
-            "is the language deterministic?")
-    p.add_argument("automaton")
-
-    p = add("deterministic-hda", _cmd_deterministic_hda,
-            "is the automaton structurally deterministic?")
-    p.add_argument("automaton")
-
-    p = add("count-paths", _cmd_count_paths,
-            "count sparse accepting paths for an ipomset")
-    p.add_argument("automaton")
-    p.add_argument("ipomset")
-
-    p = add("pump", _cmd_pump, "pump a long accepted ipomset")
-    p.add_argument("automaton")
-    p.add_argument("ipomset")
+    p = add("pump", _cmd_pump, "pump a long accepted ipomset",
+            "automaton", "ipomset")
     p.add_argument("-m", "--cut", type=_non_negative, default=0,
                    help="leftmost segment the loop may start at")
     p.add_argument("-r", "--repeat", type=_non_negative, default=2,
                    help="largest repetition count to emit")
 
     p = add("st-export", _cmd_st_export,
-            "write the automaton over starters and terminators")
-    p.add_argument("automaton")
+            "write the automaton over starters and terminators", "automaton")
     p.add_argument("-o", "--output", required=True)
 
-    p = add("skeleton", _cmd_skeleton, "restrict to cells of bounded dimension")
-    p.add_argument("automaton")
+    p = add("skeleton", _cmd_skeleton, "restrict to cells of bounded dimension",
+            "automaton")
     p.add_argument("-k", "--width", type=_non_negative, required=True)
     p.add_argument("-o", "--output", required=True)
 

@@ -4,9 +4,10 @@ Everything here reduces questions about the ipomset language of an HDA to
 finite-automaton work on its ST-automaton, compiled once per HDA:
 membership runs the coherent word, inclusion runs an on-the-fly subset
 construction, emptiness is plain reachability.  Width-bounded complements
-go through supersumption enumeration (single ipomsets) or the determinised
-complement automaton (emptiness); both run on the whole automaton, as a
-word of width at most k only visits states of at most k events.  Language
+go through supersumption enumeration (single ipomsets) or inclusion of the
+width-k universe, the automaton of every ipomset of width at most k, in
+the language (emptiness); both run on the whole automaton, as a word of
+width at most k only visits states of at most k events.  Language
 determinism compares prefix quotients as inclusions of the automaton with
 itself from the quotients' start sets.
 """
@@ -16,7 +17,7 @@ from . import stauto
 from .hda import HDA, _segment_relation, product, reachable
 from .ipomset import (Ipomset, WidthExceeded, compose, identity_step,
                       sparse_decomposition, subsumes, supersumptions)
-from .stauto import (_uncovered, complement_words, emptiness, inclusion,
+from .stauto import (_uncovered, emptiness, inclusion, match_automaton,
                      st_of_hda)
 
 
@@ -70,9 +71,10 @@ def complement_member(x: HDA, k: int, p: Ipomset) -> tuple[bool, Ipomset | None]
 
 def complement_empty(x: HDA, k: int) -> tuple[bool, Ipomset | None]:
     """Is the width-k bounded complement of the language empty, i.e. does
-    x accept every ipomset of width at most k?  A shortest unaccepted
-    ipomset witnesses a nonempty complement."""
-    return emptiness(complement_words(st_of_hda(x), width=k))
+    x accept every ipomset of width at most k?  That is the inclusion of
+    the width-k universe in the language; a shortest unaccepted ipomset
+    witnesses a nonempty complement."""
+    return inclusion(match_automaton(x.alphabet, k), st_of_hda(x))
 
 
 # --------------------------------------------------------------------------

@@ -159,13 +159,19 @@ def build(up: UPFunction, letter: str = "a") -> HDA:
 # --------------------------------------------------------------------------
 # analysis
 
-def _completed(hda: HDA, letter: str) -> HDA:
-    """Give every outgoing-edge-less vertex an edge to a fresh sink vertex
-    carrying a self-loop; the language does not change."""
+def _out_edges(hda: HDA) -> dict[str, list[str]]:
+    """The edges leaving each cell: those whose lower face it is."""
     out_edges: dict[str, list[str]] = {cid: [] for cid in hda.cells}
     for c in hda.cells.values():
         if c.dim == 1:
             out_edges[c.lower[0]].append(c.id)
+    return out_edges
+
+
+def _completed(hda: HDA, letter: str) -> HDA:
+    """Give every outgoing-edge-less vertex an edge to a fresh sink vertex
+    carrying a self-loop; the language does not change."""
+    out_edges = _out_edges(hda)
     stuck = [cid for cid, c in sorted(hda.cells.items())
              if c.dim == 0 and not out_edges[cid]]
     if not stuck:
@@ -218,10 +224,7 @@ def analyze(hda: HDA) -> UPFunction:
     if not ok:
         raise NotUPRepresentable("NotDeterministic", why)
 
-    out_edges: dict[str, list[str]] = {cid: [] for cid in hda.cells}
-    for c in hda.cells.values():
-        if c.dim == 1:
-            out_edges[c.lower[0]].append(c.id)
+    out_edges = _out_edges(hda)
 
     walk = [v0]
     index = {v0: 0}

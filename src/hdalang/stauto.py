@@ -356,16 +356,12 @@ def _conclist_id(conclist: Sequence[str]) -> str:
     return "(" + " ".join(conclist) + ")"
 
 
-def _all_conclists(alphabet: Iterable[str], k: int) -> list[tuple[str, ...]]:
-    letters = sorted(alphabet)
-    return [cl for n in range(k + 1)
-            for cl in itertools.product(letters, repeat=n)]
-
-
 def match_automaton(alphabet: Iterable[str], k: int) -> STAutomaton:
-    """Recognises every ipomset of width at most k over the alphabet."""
+    """Recognises every ipomset of width at most k over the alphabet: one
+    state per conclist, every state initial and final."""
     letters = sorted(alphabet)
-    states = {_conclist_id(cl): cl for cl in _all_conclists(letters, k)}
+    states = {_conclist_id(cl): cl for n in range(k + 1)
+              for cl in itertools.product(letters, repeat=n)}
     transitions = [(sid, s, _conclist_id(s.target_conclist()))
                    for sid, cl in states.items()
                    for s in _letters(cl, letters, k - len(cl))]
@@ -377,43 +373,37 @@ def complement_words(a: STAutomaton, width: int | None = None) -> STAutomaton:
     """The automaton accepting exactly the coherent words of width at most
     ``width`` (defaulting to a's bound) that a does not accept.
 
-    Built by determinising a on the fly: a state pairs the conclist
-    currently running with the set of a-states compatible with the word
-    read so far; it is accepting when that set avoids a's final states.
+    The subset construction of a over the rows of the width-k universe,
+    ``match_automaton(a.alphabet, k)``: a state pairs a universe state
+    with the set of a-states the word read so far leads to, and is
+    accepting when that set avoids a's final states.  Deciding whether
+    this complement is empty needs no automaton of its own:
+    ``decide.complement_empty`` asks whether the universe is included in a.
     """
     k = a.width_bound if width is None else width
     if k is None:
         raise ValueError("no width bound: pass one explicitly")
-    letters = sorted(a.alphabet)
-
-    def state_id(cl: tuple[str, ...], dset: frozenset[str]) -> str:
-        return _conclist_id(cl) + "{" + " ".join(sorted(dset)) + "}"
-
+    universe = match_automaton(a.alphabet, k)
     states: dict[str, tuple[str, ...]] = {}
     transitions: list[tuple[str, Step, str]] = []
-    initial = []
     final = []
-    queue: deque[tuple[tuple[str, ...], frozenset[str]]] = deque()
-    for cl in _all_conclists(letters, k):
-        dset = _starting(a, a.initial, cl)
-        sid = state_id(cl, dset)
-        initial.append(sid)
+    queue: deque[tuple[str, frozenset[str], str]] = deque()
+
+    def visit(q: str, dset: frozenset[str]) -> str:
+        sid = q + "{" + " ".join(sorted(dset)) + "}"
         if sid not in states:
-            states[sid] = cl
-            queue.append((cl, dset))
+            states[sid] = universe.states[q]
+            queue.append((q, dset, sid))
+        return sid
+
+    initial = [visit(q, _starting(a, a.initial, cl))
+               for q, cl in universe.states.items()]
     while queue:
-        cl, dset = queue.popleft()
-        sid = state_id(cl, dset)
-        if not (dset & a.final):
+        q, dset, sid = queue.popleft()
+        if not dset & a.final:
             final.append(sid)
-        for letter in _letters(cl, letters, k - len(cl)):
-            nxt = _post(a, dset, letter)
-            target_cl = letter.target_conclist()
-            tid = state_id(target_cl, nxt)
-            if tid not in states:
-                states[tid] = target_cl
-                queue.append((target_cl, nxt))
-            transitions.append((sid, letter, tid))
+        for step, (r,) in universe.successors[q].items():
+            transitions.append((sid, step, visit(r, _post(a, dset, step))))
     return STAutomaton(a.alphabet, states, transitions, initial, final,
                        width_bound=k)
 

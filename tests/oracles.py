@@ -26,7 +26,10 @@ local table and indexed each transition as it arrived.  The index is also
 built one transition at a time, each row sorted by step key afterwards,
 and composite faces are found through a dict keyed by position tuples, as
 the library did before it compiled cells through per-dimension face
-tables and added the steps to the rows in key order.
+tables and added the steps to the rows in key order.  The bounded
+complement automaton is determinised by a search with its own start loop
+and letter loop, as the library did before it ran the subset construction
+over the rows of the width-k universe.
 """
 import itertools
 from collections import deque
@@ -38,6 +41,8 @@ from hdalang import (HDA, IdentityHasNoDenseDecomposition, InterfaceMismatch,
                      sparse_decomposition, starter, subsumes, terminator,
                      validate_path, word_ipomset_of)
 from hdalang.hda import composite_faces, reachable
+from hdalang.ipomset import _letters
+from hdalang.stauto import _post, _starting
 
 
 def subsumes_oracle(p, q):
@@ -578,6 +583,48 @@ def complement_member_oracle(x, k, p):
 def complement_empty_oracle(x, k):
     return emptiness_oracle(
         complement_words(st_of_hda_oracle(skeleton(x, k)), width=k))
+
+
+def complement_words_oracle(a, width=None):
+    """The complement automaton determinised by a search of its own: every
+    conclist within the width is a start, and each state's letters come
+    straight from ``_letters``."""
+    k = a.width_bound if width is None else width
+    if k is None:
+        raise ValueError("no width bound: pass one explicitly")
+    letters = sorted(a.alphabet)
+
+    def state_id(cl, dset):
+        return "(" + " ".join(cl) + ")" + "{" + " ".join(sorted(dset)) + "}"
+
+    states = {}
+    transitions = []
+    initial = []
+    final = []
+    queue = deque()
+    for cl in [cl for n in range(k + 1)
+               for cl in itertools.product(letters, repeat=n)]:
+        dset = _starting(a, a.initial, cl)
+        sid = state_id(cl, dset)
+        initial.append(sid)
+        if sid not in states:
+            states[sid] = cl
+            queue.append((cl, dset))
+    while queue:
+        cl, dset = queue.popleft()
+        sid = state_id(cl, dset)
+        if not (dset & a.final):
+            final.append(sid)
+        for letter in _letters(cl, letters, k - len(cl)):
+            nxt = _post(a, dset, letter)
+            target_cl = letter.target_conclist()
+            tid = state_id(target_cl, nxt)
+            if tid not in states:
+                states[tid] = target_cl
+                queue.append((target_cl, nxt))
+            transitions.append((sid, letter, tid))
+    return STAutomaton(a.alphabet, states, transitions, initial, final,
+                       width_bound=k)
 
 
 # --------------------------------------------------------------------------

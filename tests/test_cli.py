@@ -413,17 +413,28 @@ malformed = {"P": st.text(max_size=12).map(lambda text: text + "["),
              | st.text(string.ascii_letters + ".,", min_size=1, max_size=4)}
 
 
-def call(argv):
+def run_main(argv):
     """Run main in this process: exit code (SystemExit's for usage
-    errors), the record and stderr."""
+    errors and help requests), stdout and stderr."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
-    record = dict(line.partition("=")[::2] for line in out.getvalue().splitlines())
-    return code, record, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+def record_of(out):
+    """The key=value lines of stdout; help text has none."""
+    return dict(line.partition("=")[::2] for line in out.splitlines()
+                if "=" in line)
+
+
+def call(argv):
+    """Run main in this process: exit code, the record and stderr."""
+    code, out, err = run_main(argv)
+    return code, record_of(out), err
 
 
 def is_json(raw):
@@ -477,19 +488,39 @@ def read_as_option(value, options):
     return value[:2] in options
 
 
+def asks_for_help(value, options):
+    """argparse reads combined short flags one by one and runs -h before
+    the rest: a value of -h (repeated) alone, or followed by a short
+    option that takes an argument and then that argument, prints the
+    help and exits 0.  Any other letter after -h is an error, exit 2."""
+    if not value.startswith("-h"):
+        return False
+    rest = value[1:].lstrip("h")
+    return not rest or ("-" + rest[0] in options and len(rest) > 1)
+
+
 @given(st.sampled_from([(c, k) for c in COMMANDS for k in "PUK" if k in c])
        .flatmap(lambda ck: st.tuples(st.just(ck[0]), st.just(ck[1]),
                                      malformed[ck[1]])))
 @example(case=(["oneletter", "build", "U", "-o", "O"], "U", "- ?"))
 @example(case=(["member", "A", "P"], "P", "-a b["))
 @example(case=(["pump", "A", "P", "-m", "K", "-r", "K"], "P", "-m 1["))
+@example(case=(["oneletter", "build", "U", "-o", "O"], "U", "-hl ?"))
+@example(case=(["complement-member", "A", "P"], "P", "-hk1["))
 @settings(max_examples=300, deadline=None)
 def test_every_command_reports_a_malformed_argument_as_bad_input(fuzz_dir, case):
     argv, slot, bad = case
     values = dict(GOOD, O=str(fuzz_dir / "out"), **{slot: bad})
-    code, record, err = call([values.get(a, a) for a in argv])
-    assert "Traceback" not in err and code == 2
+    code, out, err = run_main([values.get(a, a) for a in argv])
+    record = record_of(out)
     command = argv[1] if argv[0] == "oneletter" else argv[0]
+    if slot != "K" and asks_for_help(bad, OPTIONS[command]):
+        # a help request, not bad input: argparse prints the help and
+        # exits before any command runs
+        assert "Traceback" not in err and code == 0
+        assert record == {} and out.startswith("usage:")
+        return
+    assert "Traceback" not in err and code == 2
     if slot == "K" or read_as_option(bad, OPTIONS[command]):
         # argparse rejects a bad count, or reads an option, before any
         # command runs

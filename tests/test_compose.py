@@ -7,6 +7,7 @@ composes the two operands' words.  The references in ``oracles.py`` glue
 one ipomset per step on the relations and decompose by greedy simulation.
 """
 import random
+import string
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +18,7 @@ from hdalang import (InterfaceMismatch, Ipomset, Step, StepWord, accepts,
                      decide, dense_decomposition, glue, identity_step,
                      parse_ipomset, print_ipomset, sparse_decomposition,
                      supersumptions, validate_ipomset)
-from hdalang.text import parse_step_word, print_step_word
+from hdalang.text import parse_step_word, print_step, print_step_word
 
 from fixtures import a_loop, random_chaining_word, random_ipomset, random_step_word
 from oracles import compose_oracle, glue_oracle, sparse_decomposition_oracle
@@ -117,6 +118,36 @@ def test_printing_a_parsed_word_is_a_fixed_point(seed):
     text = print_step_word(StepWord(random_step_word(p, rng)))
     once = print_ipomset(parse_ipomset(text))
     assert print_ipomset(parse_ipomset(once)) == once == print_ipomset(p)
+
+
+@st.composite
+def spaced_words(draw):
+    """A chaining step word over labels of up to four characters, and a
+    spelling of it with extra spaces inside its brackets and whitespace
+    around them."""
+    alphabet = draw(st.lists(
+        st.text(string.ascii_letters + string.digits + "_", min_size=1,
+                max_size=4), min_size=1, max_size=3, unique=True))
+    word = StepWord(random_chaining_word(
+        random.Random(draw(st.integers(0, 2 ** 32))), alphabet=alphabet))
+    pad, gap = st.text(" ", max_size=2), st.text(" \t\n", max_size=2)
+    text = draw(gap)
+    for step in word.steps:
+        text += "[" + draw(pad)
+        for i, item in enumerate(print_step(step)[1:-1].split()):
+            text += (" " + draw(pad) if i else "") + item
+        text += draw(pad) + "]" + draw(gap)
+    return word, text
+
+
+@given(spaced_words())
+@settings(max_examples=300, deadline=None)
+def test_printing_and_parsing_step_words_round_trip(case):
+    word, text = case
+    assert parse_step_word(text) == word
+    assert parse_step_word(print_step_word(word)) == word
+    once = print_ipomset(parse_ipomset(text))
+    assert print_ipomset(parse_ipomset(once)) == once
 
 
 @pytest.mark.parametrize("n", [20, 200])

@@ -7,9 +7,9 @@ import random
 import pytest
 
 from hdalang import (HDA, Step, accepts_word, build, coherent_word,
-                     complement_empty, complement_member,
-                     count_sparse_accepting_paths, discrete_ipomset, empty,
-                     enumerate_wang, identity_step, include,
+                     complement_empty, complement_member, complement_words,
+                     count_sparse_accepting_paths, decide, discrete_ipomset,
+                     empty, enumerate_wang, export_st, identity_step, include,
                      is_deterministic_language, member, parse_ipomset,
                      pre_set, st_of_hda, stauto, word_ipomset)
 from hdalang.hda import _segment_relation
@@ -21,7 +21,7 @@ from fixtures import (a_loop, ab_c_rectangle, branching_square, cube,
                       random_hda, random_ipomset, random_up, rectangle_pair,
                       track_hda, two_lane_loop)
 from oracles import (accepts_word_oracle, complement_empty_oracle,
-                     complement_member_oracle,
+                     complement_member_oracle, complement_words_oracle,
                      count_sparse_accepting_paths_oracle,
                      enumerate_wang_oracle, is_deterministic_language_oracle,
                      pre_set_oracle, segment_relation_oracle,
@@ -140,6 +140,48 @@ def test_bounded_complements_against_the_skeleton():
                 assert answer == shown(complement_member_oracle(x, k, p))
                 verdicts.add(answer[0])
     assert verdicts == {True, False}
+
+
+# the complement sweeps go one width past each automaton's dimension
+CUBES = [cube(d) for d in (2, 3, 4)]
+
+
+def test_complement_words_against_its_own_search():
+    sizes = 0
+    for x in SWEEP + CUBES:
+        a = st_of_hda(x)
+        for k in range(x.dim() + 2):
+            got, want = complement_words(a, k), complement_words_oracle(a, k)
+            assert export_st(got) == export_st(want)
+            assert got.successors == want.successors
+            assert (got.initial, got.final) == (want.initial, want.final)
+            sizes += len(got.states)
+    assert sizes > 10000
+
+
+def test_complement_emptiness_one_width_past_the_dimension():
+    verdicts = set()
+    cases = [(x, x.dim() + 1) for x in SWEEP]
+    cases += [(x, k) for x in CUBES for k in range(x.dim() + 2)]
+    for x, k in cases:
+        answer = shown(complement_empty(x, k))
+        assert answer == shown(complement_empty_oracle(x, k))
+        verdicts.add(answer[0])
+    # no automaton covers the ipomsets wider than its dimension, and the
+    # cubes do not accept the empty ipomset
+    assert verdicts == {False}
+
+
+def test_complement_emptiness_builds_no_complement_automaton(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("complement_words called")
+
+    monkeypatch.setattr(stauto, "complement_words", refuse)
+    monkeypatch.setattr(decide, "complement_words", refuse, raising=False)
+    for x in FIXTURES + CUBES:
+        for k in range(x.dim() + 1):
+            assert shown(complement_empty(x, k)) == shown(
+                complement_empty_oracle(x, k))
 
 
 def test_walks_against_the_two_loops():
