@@ -73,7 +73,10 @@ def complement_empty(x: HDA, k: int) -> tuple[bool, Ipomset | None]:
     """Is the width-k bounded complement of the language empty, i.e. does
     x accept every ipomset of width at most k?  That is the inclusion of
     the width-k universe in the language; a shortest unaccepted ipomset
-    witnesses a nonempty complement."""
+    witnesses a nonempty complement.  Among the shortest, the search
+    starts from the universe states in the order of their ids, so the
+    witness is the one the determinised complement automaton gives, with
+    ids "(conclist){a-states}", only while no label holds ")"."""
     return inclusion(match_automaton(x.alphabet, k), st_of_hda(x))
 
 

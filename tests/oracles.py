@@ -36,8 +36,8 @@ from collections import deque
 
 from hdalang import (HDA, IdentityHasNoDenseDecomposition, InterfaceMismatch,
                      InvalidIpomset, Ipomset, Move, Path, Problem, STAutomaton,
-                     StepWord, WidthExceeded, coherent_word, complement_words,
-                     compose, face, identity_ipomset, identity_step, skeleton,
+                     StepWord, WidthExceeded, coherent_word, compose,
+                     face, identity_ipomset, identity_step, skeleton,
                      sparse_decomposition, starter, subsumes, terminator,
                      validate_path, word_ipomset_of)
 from hdalang.hda import composite_faces, reachable
@@ -582,7 +582,7 @@ def complement_member_oracle(x, k, p):
 
 def complement_empty_oracle(x, k):
     return emptiness_oracle(
-        complement_words(st_of_hda_oracle(skeleton(x, k)), width=k))
+        complement_words_oracle(st_of_hda_oracle(skeleton(x, k)), width=k))
 
 
 def complement_words_oracle(a, width=None):

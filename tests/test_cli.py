@@ -425,16 +425,11 @@ def run_main(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def record_of(out):
-    """The key=value lines of stdout; help text has none."""
-    return dict(line.partition("=")[::2] for line in out.splitlines()
-                if "=" in line)
-
-
 def call(argv):
     """Run main in this process: exit code, the record and stderr."""
     code, out, err = run_main(argv)
-    return code, record_of(out), err
+    record = dict(line.partition("=")[::2] for line in out.splitlines())
+    return code, record, err
 
 
 def is_json(raw):
@@ -511,15 +506,16 @@ def asks_for_help(value, options):
 def test_every_command_reports_a_malformed_argument_as_bad_input(fuzz_dir, case):
     argv, slot, bad = case
     values = dict(GOOD, O=str(fuzz_dir / "out"), **{slot: bad})
-    code, out, err = run_main([values.get(a, a) for a in argv])
-    record = record_of(out)
     command = argv[1] if argv[0] == "oneletter" else argv[0]
     if slot != "K" and asks_for_help(bad, OPTIONS[command]):
-        # a help request, not bad input: argparse prints the help and
-        # exits before any command runs
+        # a help request, not bad input: argparse prints the command's
+        # help and exits before any command runs
+        code, out, err = run_main([values.get(a, a) for a in argv])
         assert "Traceback" not in err and code == 0
-        assert record == {} and out.startswith("usage:")
+        assert out.startswith("usage:")
+        assert out == run_main(argv[:argv.index(command) + 1] + ["-h"])[1]
         return
+    code, record, err = call([values.get(a, a) for a in argv])
     assert "Traceback" not in err and code == 2
     if slot == "K" or read_as_option(bad, OPTIONS[command]):
         # argparse rejects a bad count, or reads an option, before any
