@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from . import stauto
 from .hda import HDA, _segment_relation, product, reachable
-from .ipomset import (Ipomset, WidthExceeded, compose, identity_step,
-                      sparse_decomposition, subsumes, supersumptions)
+from .ipomset import (Ipomset, WidthExceeded, _merge_word, compose,
+                      identity_step, subsumes, supersumptions)
 from .stauto import (_uncovered, emptiness, inclusion, match_automaton,
                      st_of_hda)
 
@@ -90,21 +90,21 @@ def pre_set(x: HDA) -> dict[Ipomset, frozenset[str]]:
     Paths that revisit a cell only repeat prefixes already realised by a
     shorter path into the same cell, so restricting to paths without
     repeated cells keeps the set finite without losing quotient targets
-    needed by the determinism check.
+    needed by the determinism check.  A prefix is kept as its merged
+    step word, which is its sparse decomposition, and is composed once.
     """
     successors = st_of_hda(x).successors
-    found: dict[Ipomset, set[str]] = {}
+    found: dict[tuple, set[str]] = {}
     stack = []
     seen = set()
     for origin in sorted(x.start):
         state = (origin, frozenset({origin}),
-                 compose([identity_step(x.cells[origin].events)]))
+                 (identity_step(x.cells[origin].events),))
         stack.append(state)
         seen.add(state)
     while stack:
-        cell, visited, prefix = stack.pop()
-        found.setdefault(prefix, set()).add(cell)
-        word = sparse_decomposition(prefix).steps
+        cell, visited, word = stack.pop()
+        found.setdefault(word, set()).add(cell)
         for step, targets in successors[cell].items():
             for y in targets:
                 if y in visited:
@@ -112,11 +112,11 @@ def pre_set(x: HDA) -> dict[Ipomset, frozenset[str]]:
                 # move orders that realise the same prefix are
                 # interchangeable, so exploring one (cell, visited, prefix)
                 # triple is enough
-                state = (y, visited | {y}, compose(word + (step,)))
+                state = (y, visited | {y}, _merge_word(word + (step,)))
                 if state not in seen:
                     seen.add(state)
                     stack.append(state)
-    return {p: frozenset(ends) for p, ends in found.items()}
+    return {compose(word): frozenset(ends) for word, ends in found.items()}
 
 
 def prefix_quotient(x: HDA, p: Ipomset) -> HDA:

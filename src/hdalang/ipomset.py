@@ -21,7 +21,9 @@ closed or checked; ``precedence`` and ``event_order`` are derived on
 first read.  The result carries the word with identities dropped and
 neighbouring steps of one kind merged (``_merge_word``), which is its
 sparse decomposition.  Ipomsets built from raw relations are closed and
-validated, and find that word once by greedy simulation and keep it.
+validated, and then put in the same interval form (``_interval_form``):
+the distinct predecessor sets form a chain, whose levels are the start
+and end steps and spell the sparse word.
 Keys, widths, interfaces and printing read the word; ``glue`` composes
 the operands' words, dense words split its steps, and ``supersumptions``
 composes alternating words over p's own events.  ``_letters`` generates
@@ -31,7 +33,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cmp_to_key
 from typing import Iterable, Iterator, Sequence
 
 
@@ -155,12 +156,13 @@ def validate_ipomset(labels, precedence=(), event_order=(),
 class Ipomset:
     """An interval pomset with interfaces.
 
-    Built from raw relations, it is closed and validated at construction
-    and keeps both closures.  ``compose`` passes the private ``_composed``
-    (start steps, end steps, merged word) and the covering pairs as
-    ``event_order``; that ipomset is valid by construction and keeps this
-    interval form, from which ``precedence`` and ``event_order`` are
-    derived on first read and then kept.
+    Built from raw relations, it is closed and validated at construction,
+    keeps both closures and reads its interval form and sparse word off
+    its predecessor sets (``_interval_form``).  ``compose`` passes the
+    private ``_composed`` (start steps, end steps, merged word) and the
+    covering pairs as ``event_order``; that ipomset is valid by
+    construction and keeps this interval form, from which ``precedence``
+    and ``event_order`` are derived on first read and then kept.
     """
 
     __slots__ = ("labels", "precedence", "event_order", "source", "target",
@@ -189,7 +191,7 @@ class Ipomset:
             raise InvalidIpomset(problems)
         self.precedence = prec
         self.event_order = ev
-        self._word = None  # the sparse decomposition, once known
+        _interval_form(self)
 
     def __getattr__(self, name: str):
         # reached only while a composed ipomset's relation is underived;
@@ -234,30 +236,11 @@ class Ipomset:
 
     # -- conclists ---------------------------------------------------------
 
-    def _sorted_by_event_order(self, events: Iterable[int]) -> tuple[int, ...]:
-        evs = list(events)
-        order = self.event_order
-
-        def cmp(a: int, b: int) -> int:
-            if (a, b) in order:
-                return -1
-            if (b, a) in order:
-                return 1
-            raise InvalidIpomset([Problem(
-                "IncomparablePair", (a, b),
-                f"events {a} and {b} have no event order inside a conclist")])
-
-        return tuple(sorted(evs, key=cmp_to_key(cmp)))
-
     def source_conclist(self) -> tuple[str, ...]:
-        if self._word is not None:
-            return self._word.steps[0].source_conclist()
-        return tuple(self.labels[i] for i in self._sorted_by_event_order(self.source))
+        return self._word.steps[0].source_conclist()
 
     def target_conclist(self) -> tuple[str, ...]:
-        if self._word is not None:
-            return self._word.steps[-1].target_conclist()
-        return tuple(self.labels[i] for i in self._sorted_by_event_order(self.target))
+        return self._word.steps[-1].target_conclist()
 
     # -- canonical form ----------------------------------------------------
 
@@ -529,68 +512,51 @@ def parallel(p: Ipomset, q: Ipomset) -> Ipomset:
 # --------------------------------------------------------------------------
 # decompositions
 
-def _startable(p: Ipomset, started: set[int], terminated: set[int]) -> list[int]:
-    out = []
-    for x in p.events():
-        if x in started:
-            continue
-        if all(y in terminated for (y, z) in p.precedence if z == x):
-            out.append(x)
-    return out
+def _interval_form(p: Ipomset) -> None:
+    """Set the start and end steps and the sparse word of p, whose
+    relations are closed and valid.
 
-
-def _terminable(p: Ipomset, started: set[int], terminated: set[int]) -> list[int]:
-    out = []
-    for x in started:
-        if x in terminated or x in p.target:
-            continue
-        if all(y in started for y in p.events() if p.concurrent(x, y)):
-            out.append(x)
-    return out
-
-
-def _conclist_of(p: Ipomset, active: Iterable[int]) -> tuple[tuple[int, ...], tuple[str, ...]]:
-    idx = p._sorted_by_event_order(active)
-    return idx, tuple(p.labels[i] for i in idx)
+    The distinct predecessor sets form a chain (Fishburn).  An event
+    starts at the level of its own set and ends at the last level whose
+    set lacks it, so x precedes y exactly when x ends before y starts.
+    Level i starts its non-source events, then ends its non-target ones.
+    Conclists list events by their number of event-order predecessors,
+    which rises strictly along the closed event order.
+    """
+    n, labels = len(p.labels), p.labels
+    pred, rank = [0] * n, [0] * n
+    for x, y in p.precedence:
+        pred[y] |= 1 << x
+    for _, y in p.event_order:
+        rank[y] += 1
+    level = {d: i for i, d in enumerate(sorted(set(pred)))}  # a chain
+    starts = [level[d] for d in pred]
+    ends = [len(level) - 1] * n
+    for x, y in p.precedence:
+        ends[x] = min(ends[x], starts[y] - 1)
+    active = sorted(p.source, key=rank.__getitem__)
+    steps: list[Step] = []
+    for i in range(len(level)):
+        new = {x for x in range(n) if starts[x] == i} - p.source
+        active = sorted(active + list(new), key=rank.__getitem__)
+        old = {e for e in active if ends[e] == i} - p.target
+        for make, marked in ((starter, new), (terminator, old)):
+            if marked:
+                steps.append(make([labels[e] for e in active],
+                                  [j for j, e in enumerate(active) if e in marked]))
+        active = [e for e in active if e not in old]
+    p._starts, p._ends = tuple(starts), tuple(ends)
+    p._word = StepWord(steps or (identity_step([labels[e] for e in active]),))
 
 
 def sparse_decomposition(p: Ipomset) -> StepWord:
     """The unique step word for p in which nonidentity starters and
     terminators strictly alternate.
 
-    Composed ipomsets carry it.  Others are decomposed once by greedy
-    simulation, and keep the result: start every event whose predecessors
-    have all terminated, then terminate every started event all of whose
-    concurrent partners have started.  Maximality of each phase is forced
-    by alternation, which gives uniqueness.
+    Every ipomset carries it from construction: ``compose`` merges the
+    word it walked, and ``_interval_form`` reads it off the levels of
+    the predecessor sets.
     """
-    if p._word is not None:
-        return p._word
-    started = set(p.source)
-    terminated: set[int] = set()
-    todo_start = len(p.labels) - len(p.source)
-    todo_term = len(p.labels) - len(p.target)
-    steps: list[Step] = []
-    while todo_start or len(terminated) < todo_term:
-        a = _startable(p, started, terminated)
-        if a:
-            started |= set(a)
-            todo_start -= len(a)
-            idx, labels = _conclist_of(p, started - terminated)
-            steps.append(starter(labels, {idx.index(x) for x in a}))
-        idx, labels = _conclist_of(p, started - terminated)
-        b = _terminable(p, started, terminated)
-        if b:
-            steps.append(terminator(labels, {idx.index(x) for x in b}))
-            terminated |= set(b)
-        if not a and not b:
-            raise InvalidIpomset([Problem(
-                "NotInterval", tuple(sorted(set(p.events()) - terminated)),
-                "no step decomposition exists; the precedence order is stuck")])
-    if not steps:
-        _, labels = _conclist_of(p, p.source)
-        steps.append(identity_step(labels))
-    p._word = StepWord(steps)
     return p._word
 
 
@@ -733,7 +699,7 @@ def supersumptions(p: Ipomset, k: int) -> list[Ipomset]:
                         walk(order, unstarted.difference(new),
                              steps + (step,), "starter")
 
-    walk(list(p._sorted_by_event_order(p.source)),
+    walk(sorted(p.source, key=lambda x: sum(y == x for _, y in p.event_order)),
          frozenset(p.events()) - p.source, (), "")
     return [seen[key] for key in sorted(seen)]
 

@@ -353,7 +353,11 @@ def _uncovered(a: STAutomaton, a_start: Iterable[str], b: STAutomaton,
 # the full width-bounded language, and complements
 
 def _conclist_id(conclist: Sequence[str]) -> str:
-    return "(" + " ".join(conclist) + ")"
+    """The labels joined by spaces, with backslash and space escaped in
+    each label and the empty label spelled ``\\e``, so that no two
+    conclists share an id."""
+    return "(" + " ".join(label.replace("\\", "\\\\").replace(" ", "\\ ")
+                          or "\\e" for label in conclist) + ")"
 
 
 def match_automaton(alphabet: Iterable[str], k: int) -> STAutomaton:

@@ -5,9 +5,11 @@ library's own shortcuts: subsumption tries every bijection, width tries
 every subset, and step-word normalisation works on raw index bookkeeping
 instead of going through glue.  Composition is the left fold of a
 relation-level glue over one ipomset per step, and the sparse
-decomposition is found by greedy simulation on the relations, as the
-library did before it composed words in one pass and carried the
-result's word.  The ST-automaton reference builds a
+decomposition is found by greedy simulation on the relations.  That
+simulation now lives only here: the library composes words in one pass
+and carries the result's word, and reads the word of an ipomset built
+from relations off the chain of its predecessor sets.  The ST-automaton
+reference builds a
 fresh automaton on every call and steps its word NFA by scanning every
 transition, as the library did before it compiled each HDA once into an
 index of steps.  Its runs step pairs of in- and out-nodes per state,

@@ -5,7 +5,10 @@ interval form (start and end step of each event, covering event-order
 pairs) and carries the merged word as its sparse decomposition; ``glue``
 composes the two operands' words.  The references in ``oracles.py`` glue
 one ipomset per step on the relations and decompose by greedy simulation.
+Ipomsets built from relations read their word off the chain of their
+predecessor sets, and are checked against the same greedy reference.
 """
+import itertools
 import random
 import string
 
@@ -13,11 +16,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hdalang.ipomset
-from hdalang import (InterfaceMismatch, Ipomset, Step, StepWord, accepts,
-                     coherent_word, compose, count_sparse_accepting_paths,
-                     decide, dense_decomposition, glue, identity_step,
-                     parse_ipomset, print_ipomset, sparse_decomposition,
-                     supersumptions, validate_ipomset)
+from hdalang import (InterfaceMismatch, InvalidIpomset, Ipomset, Step,
+                     StepWord, accepts, coherent_word, compose,
+                     count_sparse_accepting_paths, decide, dense_decomposition,
+                     discrete_ipomset, glue, identity_step, parse_ipomset,
+                     print_ipomset, sparse_decomposition, supersumptions,
+                     validate_ipomset, word_ipomset)
 from hdalang.text import parse_step_word, print_step, print_step_word
 
 from fixtures import a_loop, random_chaining_word, random_ipomset, random_step_word
@@ -55,7 +59,7 @@ def test_compose_matches_the_left_fold():
 def test_carried_word_is_the_greedy_decomposition():
     for p, word in sample_words(500, seed=8):
         q = rebuilt(compose(word))
-        assert q._word is None
+        assert q._word is not None
         assert sparse_decomposition(compose(word)) == sparse_decomposition_oracle(q)
         assert sparse_decomposition(q) == sparse_decomposition_oracle(q)
 
@@ -228,7 +232,7 @@ def test_composed_ipomsets_read_their_word_not_the_relations(monkeypatch):
     def stuck(*args):
         raise AssertionError("greedy decomposition of a composed ipomset")
 
-    monkeypatch.setattr(hdalang.ipomset, "_startable", stuck)
+    monkeypatch.setattr(hdalang.ipomset, "_interval_form", stuck)
     text = "[a+ b+][a- b][b c+][b- c-]" * 3
     p = glue(parse_ipomset(text), parse_ipomset("[a+][a-]"))
     assert print_ipomset(p) == text + "[a+][a-]"
@@ -242,13 +246,13 @@ def test_composed_ipomsets_read_their_word_not_the_relations(monkeypatch):
 
 def test_relation_built_ipomsets_are_simulated_once(monkeypatch):
     calls = []
-    startable = hdalang.ipomset._startable
+    interval_form = hdalang.ipomset._interval_form
 
     def counting(*args):
         calls.append(1)
-        return startable(*args)
+        return interval_form(*args)
 
-    monkeypatch.setattr(hdalang.ipomset, "_startable", counting)
+    monkeypatch.setattr(hdalang.ipomset, "_interval_form", counting)
     q = rebuilt(parse_ipomset("[a+ b+][a- b][b c+][b- c-]" * 2))
     word = sparse_decomposition(q)
     once = len(calls)
@@ -257,3 +261,52 @@ def test_relation_built_ipomsets_are_simulated_once(monkeypatch):
     dense_decomposition(q)
     assert len(supersumptions(q, 2)) > 1
     assert len(calls) == once
+
+
+def assert_interval_form_of_relations(q):
+    """q, built from relations, carries the greedy word, and its start and
+    end levels give its precedence."""
+    assert sparse_decomposition(q) == sparse_decomposition_oracle(q)
+    assert q.precedence == {(x, y) for x in q.events() for y in q.events()
+                            if q._ends[x] < q._starts[y]}
+
+
+def test_relation_built_ipomsets_get_the_greedy_word():
+    rng = random.Random(14)
+    count = 0
+    while count < 2000:
+        p = compose(random_chaining_word(rng))
+        if len(sparse_decomposition(p)) < 2:
+            continue
+        count += 1
+        perm = list(p.events())  # renumber, so event indices say nothing
+        rng.shuffle(perm)
+        labels = [None] * len(p)
+        for x, label in enumerate(p.labels):
+            labels[perm[x]] = label
+        q = Ipomset(labels, {(perm[x], perm[y]) for x, y in p.precedence},
+                    {(perm[x], perm[y]) for x, y in p.event_order},
+                    {perm[x] for x in p.source}, {perm[x] for x in p.target})
+        assert_interval_form_of_relations(q)
+        assert q.key() == p.key()
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+@pytest.mark.parametrize("build", [word_ipomset, discrete_ipomset])
+def test_words_and_discrete_ipomsets_with_every_interface(build, n):
+    labels = "abcd"[:n]
+    subsets = [c for r in range(n + 1) for c in itertools.combinations(range(n), r)]
+    built = 0
+    for source, target in itertools.product(subsets, repeat=2):
+        try:
+            q = build(labels, source, target)
+        except InvalidIpomset:
+            continue
+        built += 1
+        assert_interval_form_of_relations(q)
+    # a word's interfaces hold at most its first and its last event
+    assert built == (4 ** n if build is discrete_ipomset else min(4, 4 ** n))
+
+
+def test_a_long_word_is_keyed_like_its_parsed_loop():
+    assert word_ipomset("a" * 200).key() == parse_ipomset("[a+][a-]" * 200).key()

@@ -4,11 +4,11 @@ import itertools
 import pytest
 
 from hdalang import (HDA, Cell, InvalidSTAutomaton, STAutomaton, accepts,
-                     accepts_word, coherent_word, complement_words, emptiness,
-                     enumerate_wang, export_st, identity_ipomset, identity_step,
-                     inclusion, language_ipomsets, match_automaton,
-                     parse_ipomset, st_of_hda, starter, terminator,
-                     word_ipomset, word_ipomset_of)
+                     accepts_word, coherent_word, complement_words, decide,
+                     emptiness, enumerate_wang, export_st, identity_ipomset,
+                     identity_step, inclusion, language_ipomsets,
+                     match_automaton, parse_ipomset, st_of_hda, starter,
+                     terminator, word_ipomset, word_ipomset_of)
 from hdalang.text import parse_step_word, print_ipomset
 
 from fixtures import (a_loop, branching_square, filled_square,
@@ -203,6 +203,18 @@ def test_match_automaton_accepts_exactly_coherent_glueable_words():
     # a word whose brackets do not chain is not even representable as
     # letters of the match automaton run; a non-alternating one is refused
     assert not accepts_word(m, tuple(parse_step_word("[][a+][a][a]")))
+
+
+@pytest.mark.parametrize("alphabet, k, states", [
+    (("a", "b", "a b"), 2, 13), (("", "a"), 2, 7), (("a\\", "b", "a b"), 2, 13)])
+def test_labels_with_spaces_give_distinct_conclist_states(alphabet, k, states):
+    # labels holding a space or nothing once shared a state id with
+    # another conclist, ("a b",) with ("a", "b") and ("",) with (); an
+    # escape of spaces alone would give ("a\\", "b") the id of ("a b",)
+    x = HDA([Cell("v", (), (), ())], ["v"], ["v"], alphabet)
+    assert len(match_automaton(alphabet, k).states) == states
+    ok, witness = decide.complement_empty(x, k)
+    assert not ok and witness.width() <= k and not accepts(x, witness)
 
 
 def test_complement_of_empty_language_accepts_eps():
