@@ -7,9 +7,9 @@ languages.
 """
 
 from .ipomset import (EMPTY, IdentityHasNoDenseDecomposition,
-                      InterfaceMismatch, InvalidIpomset, Ipomset, ParseError,
-                      Problem, Step, StepWord, WidthExceeded, compose,
-                      dense_decomposition, discrete_ipomset,
+                      InterfaceMismatch, Invalid, InvalidIpomset, Ipomset,
+                      ParseError, Problem, Step, StepWord, WidthExceeded,
+                      compose, dense_decomposition, discrete_ipomset,
                       enumerate_ipomsets, glue, identity_ipomset,
                       identity_step, in_down_closure, parallel,
                       sparse_decomposition, starter, subsumes,

@@ -17,14 +17,13 @@ import sys
 
 from . import decide
 from .hda import (HDA, DecompositionTooShort, InvalidHDA, NotAccepted,
-                  count_sparse_accepting_paths, dump_hda, load_hda, pump,
-                  skeleton)
+                  count_sparse_accepting_paths, dump_hda,
+                  is_deterministic_hda, load_hda, pump, skeleton)
 from .ipomset import (IdentityHasNoDenseDecomposition, InterfaceMismatch,
-                      InvalidIpomset, Ipomset, ParseError, WidthExceeded,
+                      Invalid, Ipomset, ParseError, WidthExceeded,
                       dense_decomposition)
-from .oneletter import (InvalidUPFunction, NotUPRepresentable, analyze,
-                        build, parse_up, print_up)
-from .stauto import InvalidSTAutomaton, export_st, st_of_hda
+from .oneletter import NotUPRepresentable, analyze, build, parse_up, print_up
+from .stauto import export_st, st_of_hda
 from .text import parse_ipomset, print_ipomset
 
 
@@ -46,8 +45,7 @@ def _cmd_validate(args) -> tuple[dict, int]:
     try:
         hda = load_hda(args.automaton)
     except InvalidHDA as exc:
-        return {"status": "false",
-                "detail": "; ".join(str(p) for p in exc.problems)}, 1
+        return {"status": "false", "detail": str(exc)}, 1
     return {"status": "true", "detail": f"{len(hda.cells)} cells"}, 0
 
 
@@ -111,7 +109,6 @@ def _cmd_deterministic(args) -> tuple[dict, int]:
 
 
 def _cmd_deterministic_hda(args) -> tuple[dict, int]:
-    from .hda import is_deterministic_hda
     ok, why = is_deterministic_hda(load_hda(args.automaton))
     record = {"status": _status(ok)}
     if why is not None:
@@ -248,8 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_INPUT_ERRORS = (ParseError, InvalidIpomset, InterfaceMismatch, InvalidHDA,
-                 InvalidSTAutomaton, InvalidUPFunction, WidthExceeded,
+_INPUT_ERRORS = (ParseError, Invalid, InterfaceMismatch, WidthExceeded,
                  IdentityHasNoDenseDecomposition, OSError,
                  json.JSONDecodeError, UnicodeDecodeError)
 

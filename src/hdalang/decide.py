@@ -143,34 +143,35 @@ def is_deterministic_language(x: HDA) -> tuple[bool, tuple[Ipomset, Ipomset] | N
     Pairs are scanned in descending canonical order and the first failing
     one is the witness, so the witness is the canonically largest.
     """
-    pre = pre_set(x)
     a = st_of_hda(x)
     co = reachable(x, x.accept, backward=True)
-    items = sorted(pre.items(), key=lambda kv: kv[0].key(), reverse=True)
 
     def invariant(p: Ipomset) -> tuple:
         return (tuple(sorted(p.labels)),
                 tuple(sorted(p.labels[i] for i in p.source)),
                 tuple(sorted(p.labels[i] for i in p.target)))
 
+    # each prefix with its targets, invariant, precedence count and width
+    items = sorted(((p, targets, invariant(p), len(p.precedence), p.width())
+                    for p, targets in pre_set(x).items()),
+                   key=lambda item: item[0].key(), reverse=True)
     # comparable prefixes share labels and interfaces, so only pairs from
     # the same bucket can violate; prefixes with empty quotients are no
     # prefixes of the language itself and are skipped on the q side
     buckets: dict[tuple, list] = {}
-    for q, q_targets in items:
-        if q_targets & co:
-            buckets.setdefault(invariant(q), []).append((q, q_targets))
-    cache: dict[tuple, bool] = {}
-    for p, p_targets in items:
-        p_prec, p_width = len(p.precedence), p.width()
-        for q, q_targets in buckets.get(invariant(p), ()):
+    for item in items:
+        if item[1] & co:
+            buckets.setdefault(item[2], []).append(item)
+    cache: dict[tuple[frozenset[str], frozenset[str]], bool] = {}
+    for p, p_targets, inv, p_prec, p_width in items:
+        for q, q_targets, _, q_prec, q_width in buckets.get(inv, ()):
             # a subsumed prefix has at least as much precedence and at
             # most the width of the coarser one
-            if len(q.precedence) > p_prec or q.width() < p_width:
+            if q_prec > p_prec or q_width < p_width:
                 continue
             if p == q or p_targets == q_targets or not subsumes(p, q):
                 continue
-            key = (tuple(sorted(p_targets)), tuple(sorted(q_targets)))
+            key = (p_targets, q_targets)
             if key not in cache:
                 cache[key] = (_uncovered(a, p_targets, a, q_targets) is None
                               and _uncovered(a, q_targets, a, p_targets) is None)

@@ -9,21 +9,20 @@ down (terminate events); the observable content of a path is an ipomset.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .ipomset import (Ipomset, Problem, Step, StepWord, compose,
+from .ipomset import (Invalid, Ipomset, Problem, Step, StepWord, compose,
                       identity_step, sparse_decomposition, starter,
                       terminator, _merge_word)
 
 
-class InvalidHDA(ValueError):
-    def __init__(self, problems: Iterable[Problem]):
-        self.problems = tuple(problems)
-        super().__init__("; ".join(str(p) for p in self.problems))
+class InvalidHDA(Invalid):
+    pass
 
 
 class PositionOutOfRange(ValueError):
@@ -68,13 +67,13 @@ class HDA:
     id sets.  Construction validates the precubical structure and raises
     InvalidHDA listing every violation.
 
-    Instances must not be mutated: derived tables are cached on them,
-    among them the compiled ST-automaton that ``stauto.st_of_hda``
-    builds on its first call and returns on every later one.
+    Instances must not be mutated: three tables are cached on them,
+    ``_by_conclist``, ``_step_graph`` and ``_st``, the automaton that
+    ``stauto.st_of_hda`` compiles on its first call and returns later.
     """
 
     __slots__ = ("alphabet", "cells", "start", "accept",
-                 "_by_conclist", "_step_graph", "_st", "_tables")
+                 "_by_conclist", "_step_graph", "_st")
 
     def __init__(self, cells: Iterable[Cell], start: Iterable[str],
                  accept: Iterable[str], alphabet: Iterable[str] = ()):
@@ -93,7 +92,6 @@ class HDA:
         problems += self._validate()
         if problems:
             raise InvalidHDA(problems)
-        self._tables: list[list[_FaceEntry]] = []  # by dimension
         self._by_conclist: dict[tuple[str, ...], tuple[str, ...]] | None = None
         self._step_graph = None
         self._st = None  # set by stauto.st_of_hda
@@ -125,14 +123,9 @@ class HDA:
         if out:
             return out
         faces = {cid: c.lower + c.upper for cid, c in cells.items()}
-        quads: dict[int, list[tuple[int, int, int, int]]] = {}
         for cid, own in faces.items():
             d = len(own) // 2
-            if d < 2:
-                continue
-            if d not in quads:
-                quads[d] = _identity_quads(d)
-            for p, q, r, s in quads[d]:
+            for p, q, r, s in _identity_quads(d):
                 a, b = faces[own[p]][q], faces[own[r]][s]
                 if a != b:
                     (t2, j), (t1, i) = divmod(p, d), divmod(r, d)
@@ -166,10 +159,6 @@ class HDA:
                         f"{expect[i]}, but {fid!r} has "
                         f"{self.cells[fid].events}"))
         return out
-
-    def _elem(self, cell_id: str, side: int, i: int) -> str:
-        c = self.cells[cell_id]
-        return (c.lower if side == 0 else c.upper)[i]
 
     # -- helpers -------------------------------------------------------------
 
@@ -211,7 +200,8 @@ def face(hda: HDA, cell_id: str, side: int, positions: Iterable[int]) -> str:
             f"cell {cell_id!r} of dimension {c.dim}")
     cur = cell_id
     for p in pos:
-        cur = hda._elem(cur, side, p)
+        c = hda.cells[cur]
+        cur = (c.upper if side else c.lower)[p]
     return cur
 
 
@@ -221,35 +211,29 @@ def face(hda: HDA, cell_id: str, side: int, positions: Iterable[int]) -> str:
 _FaceEntry = tuple[tuple[int, ...], frozenset[int], int, int]
 
 
-def _new_face_table(d: int) -> list[_FaceEntry]:
+@functools.cache
+def _face_table(d: int) -> tuple[_FaceEntry, ...]:
     """The entries of every nonempty position tuple of a d-cell, by size
-    and then in ``combinations`` order; entry k describes column k + 1."""
+    and then in ``combinations`` order; entry k describes column k + 1.
+    Built once per dimension and shared by all automata."""
     index: dict[tuple[int, ...], int] = {(): 0}
     table: list[_FaceEntry] = []
     for r in range(1, d + 1):
         for a in itertools.combinations(range(d), r):
             table.append((a, frozenset(a), a[0], index[a[1:]]))
             index[a] = len(table)
-    return table
-
-
-def _face_table(hda: HDA, d: int) -> list[_FaceEntry]:
-    """The face table of dimension d, built once per automaton."""
-    tables = hda._tables
-    while len(tables) <= d:
-        tables.append(_new_face_table(len(tables)))
-    return tables[d]
+    return tuple(table)
 
 
 def _face_columns(hda: HDA, d: int, ids: list[str], side: int
                   ) -> list[list[str]]:
     """The composite faces of the d-cells ``ids`` on one side (0 lower,
     1 upper), in columns: column 0 is ``ids``, and column k + 1 holds
-    each cell's face at the positions a of face-table entry k.  That face
-    is face a[0] of the face at a[1:], which an earlier column holds."""
+    each cell's face at the positions a of entry k of ``_face_table(d)``.
+    That face is face a[0] of the face at a[1:], in an earlier column."""
     cells = hda.cells
     columns = [ids]
-    for _, _, i, rest in _face_table(hda, d):
+    for _, _, i, rest in _face_table(d):
         if side:
             columns.append([cells[f].upper[i] for f in columns[rest]])
         else:
@@ -261,9 +245,9 @@ def _faces(hda: HDA, cell: Cell, side: int
            ) -> list[tuple[frozenset[int], str]]:
     """``(frozenset(a), the face of the cell at a on one side)`` for every
     nonempty position tuple a, in face-table order."""
-    d = len(cell.events)
+    d = cell.dim
     return [(marks, x) for (_, marks, _, _), (x,) in zip(
-        _face_table(hda, d), _face_columns(hda, d, [cell.id], side)[1:])]
+        _face_table(d), _face_columns(hda, d, [cell.id], side)[1:])]
 
 
 def composite_faces(hda: HDA, cell: Cell
@@ -271,24 +255,24 @@ def composite_faces(hda: HDA, cell: Cell
     """For every nonempty position tuple a of the cell, by size and then in
     ``combinations`` order: ``(a, face(.., 0, a), face(.., 1, a))``.
 
-    The positions come from the automaton's face table of the cell's
-    dimension, and each face costs one lookup (see ``_face_columns``)."""
-    d = len(cell.events)
-    lower = _face_columns(hda, d, [cell.id], 0)
-    upper = _face_columns(hda, d, [cell.id], 1)
-    for (a, _, _, _), (x,), (z,) in zip(_face_table(hda, d), lower[1:],
-                                        upper[1:]):
+    The positions come from the shared face table of the cell's
+    dimension, and the faces from ``_faces`` on each side."""
+    for (a, _, _, _), (_, x), (_, z) in zip(
+            _face_table(cell.dim), _faces(hda, cell, 0), _faces(hda, cell, 1)):
         yield a, x, z
 
 
-def _identity_quads(d: int) -> list[tuple[int, int, int, int]]:
+@functools.cache
+def _identity_quads(d: int) -> tuple[tuple[int, int, int, int], ...]:
     """The precubical identities of a d-cell, for i < j in
     ``combinations`` order and then sides t1, t2, as indices into face
     tuples ``lower + upper``: (p, q, r, s) says that face q of face p
-    equals face s of face r, that is d_i^t1 d_j^t2 = d_{j-1}^t2 d_i^t1."""
-    return [(t2 * d + j, t1 * (d - 1) + i, t1 * d + i, t2 * (d - 1) + j - 1)
-            for i, j in itertools.combinations(range(d), 2)
-            for t1, t2 in itertools.product((0, 1), repeat=2)]
+    equals face s of face r, that is d_i^t1 d_j^t2 = d_{j-1}^t2 d_i^t1.
+    Built once per dimension; none below dimension 2."""
+    return tuple((t2 * d + j, t1 * (d - 1) + i, t1 * d + i,
+                  t2 * (d - 1) + j - 1)
+                 for i, j in itertools.combinations(range(d), 2)
+                 for t1, t2 in itertools.product((0, 1), repeat=2))
 
 
 def skeleton(hda: HDA, k: int) -> HDA:

@@ -50,10 +50,16 @@ class Problem:
         return f"{self.code}: {self.message}"
 
 
-class InvalidIpomset(ValueError):
+class Invalid(ValueError):
+    """A value that breaks its invariants; ``problems`` lists every one."""
+
     def __init__(self, problems: Iterable[Problem]):
         self.problems = tuple(problems)
-        super().__init__("; ".join(str(p) for p in self.problems))
+        super().__init__("; ".join(map(str, self.problems)))
+
+
+class InvalidIpomset(Invalid):
+    pass
 
 
 class InterfaceMismatch(ValueError):

@@ -10,16 +10,13 @@ an HDA.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from .hda import HDA, Cell, face, is_deterministic_hda, reachable
-from .ipomset import ParseError, Problem
+from .ipomset import Invalid, ParseError, Problem
 
 
-class InvalidUPFunction(ValueError):
-    def __init__(self, problems: Iterable[Problem]):
-        self.problems = tuple(problems)
-        super().__init__("; ".join(str(p) for p in self.problems))
+class InvalidUPFunction(Invalid):
+    pass
 
 
 class NotUPRepresentable(ValueError):

@@ -14,15 +14,13 @@ import itertools
 from collections import deque
 from typing import Iterable, Iterator, Sequence
 
-from .ipomset import (Ipomset, Problem, Step, StepWord, compose, identity_step,
-                      sparse_decomposition, _letters)
+from .ipomset import (Invalid, Ipomset, Problem, Step, StepWord, compose,
+                      identity_step, sparse_decomposition, _letters)
 from .hda import HDA, _face_columns, _face_table
 
 
-class InvalidSTAutomaton(ValueError):
-    def __init__(self, problems: Iterable[Problem]):
-        self.problems = tuple(problems)
-        super().__init__("; ".join(str(p) for p in self.problems))
+class InvalidSTAutomaton(Invalid):
+    pass
 
 
 class STAutomaton:
@@ -36,6 +34,8 @@ class STAutomaton:
     state's steps in ``Step.key()`` order and the targets a sorted tuple;
     every run below steps through it.  ``transitions``, the set of
     triples, is derived from the index the first time it is read.
+    ``_compile`` passes its transitions grouped by step object through
+    the private ``_groups`` (see ``_Group``).
 
     Instances are validated on construction and must not be mutated:
     ``st_of_hda`` caches its automaton on the HDA and hands it to every
@@ -49,16 +49,16 @@ class STAutomaton:
                  states: dict[str, Sequence[str]],
                  transitions: Iterable[tuple[str, Step, str]],
                  initial: Iterable[str], final: Iterable[str],
-                 width_bound: int | None = None):
+                 width_bound: int | None = None, *,
+                 _groups: Iterable[_Group] = ()):
         self.alphabet = frozenset(alphabet)
         self.states = {sid: tuple(cl) for sid, cl in states.items()}
         self.initial = frozenset(initial)
         self.final = frozenset(final)
         self.width_bound = width_bound
         self._transitions: frozenset[tuple[str, Step, str]] | None = None
-        self.successors = self._index(
-            transitions.groups if isinstance(transitions, _Grouped)
-            else ((s, (q,), (r,)) for q, s, r in transitions))
+        self.successors = self._index(itertools.chain(
+            ((s, (q,), (r,)) for q, s, r in transitions), _groups))
 
     @property
     def transitions(self) -> frozenset[tuple[str, Step, str]]:
@@ -158,16 +158,6 @@ def _step_key(item: tuple[Step, object]) -> tuple:
     return item[0].key()
 
 
-class _Grouped:
-    """Transitions that come grouped by step object, as ``_compile``
-    streams them; STAutomaton takes them in place of triples."""
-
-    __slots__ = ("groups",)
-
-    def __init__(self, groups: Iterable[_Group]):
-        self.groups = groups
-
-
 def st_of_hda(hda: HDA) -> STAutomaton:
     """The ST-automaton with one state per cell: starters climb to a cell
     from its lower faces, terminators drop to its upper faces.
@@ -182,7 +172,7 @@ def st_of_hda(hda: HDA) -> STAutomaton:
 
 def _compile(hda: HDA) -> STAutomaton:
     """Compile the cells of each conclist together: their composite faces
-    come column by column from the face table (``hda._face_columns``),
+    come column by column from the shared face table (``_face_columns``),
     and each starter and terminator of the conclist is built once, from
     the table's frozensets, with the transitions of all those cells."""
     # the cells of each conclist; the conclists are spelled with one string
@@ -204,13 +194,13 @@ def _compile(hda: HDA) -> STAutomaton:
             d = len(events)
             lower = _face_columns(hda, d, ids, 0)
             upper = _face_columns(hda, d, ids, 1)
-            for (_, a, _, _), xs, zs in zip(_face_table(hda, d), lower[1:],
+            for (_, a, _, _), xs, zs in zip(_face_table(d), lower[1:],
                                             upper[1:]):
                 yield Step("starter", events, a), xs, ids
                 yield Step("terminator", events, a), ids, zs
 
-    return STAutomaton(hda.alphabet, states, _Grouped(groups()), hda.start,
-                       hda.accept, width_bound=hda.dim())
+    return STAutomaton(hda.alphabet, states, (), hda.start, hda.accept,
+                       width_bound=hda.dim(), _groups=groups())
 
 
 def coherent_word(p: Ipomset) -> tuple[Step, ...]:

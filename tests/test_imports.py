@@ -1,5 +1,6 @@
-"""Every name a library module imports is used in it, and every private
-helper it defines is used somewhere in the library."""
+"""Every name a library module imports is used in it, every private
+helper it defines is used somewhere in the library, and every slot of a
+library class is read somewhere in the library."""
 import ast
 import pathlib
 
@@ -60,3 +61,35 @@ def test_an_orphaned_helper_is_found():
                     "def f(): return _a()\n",
                "n": "from m import _b\nimport m\nm._C\n"}
     assert orphans(sources) == [("m", "_b")]
+
+
+def unread_slots(sources):
+    """Slots of the classes of ``sources`` (module name to text), as
+    (module, class, slot), that no module reads as an attribute."""
+    slots, read = [], set()
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ClassDef):
+                slots += [(module, node.name, name) for stmt in node.body
+                          if isinstance(stmt, ast.Assign)
+                          and [t.id for t in stmt.targets
+                               if isinstance(t, ast.Name)] == ["__slots__"]
+                          for name in ast.literal_eval(stmt.value)]
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Load)):
+                read.add(node.attr)
+    return sorted(s for s in slots if s[2] not in read)
+
+
+def test_every_slot_is_read():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+    assert unread_slots(sources) == []
+
+
+def test_an_unread_slot_is_found():
+    sources = {"m": "class A:\n    __slots__ = ('a', '_b', '_c')\n"
+                    "    def __init__(self):\n"
+                    "        self.a = self._b = self._c = None\n"
+                    "        print(self.a)\n",
+               "n": "def f(x):\n    return x._c\n"}
+    assert unread_slots(sources) == [("m", "A", "_b")]

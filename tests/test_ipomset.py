@@ -11,6 +11,8 @@ from hdalang import (EMPTY, IdentityHasNoDenseDecomposition, InterfaceMismatch,
                      parallel, parse_ipomset, print_ipomset, print_step,
                      sparse_decomposition, starter, subsumes, supersumptions,
                      terminator, validate_ipomset, word_ipomset)
+from hdalang import (HDA, Cell, Invalid, InvalidHDA, InvalidSTAutomaton,
+                     InvalidUPFunction, STAutomaton, UPFunction)
 from hdalang.text import parse_step_word, print_step_word
 
 from fixtures import random_ipomset, random_step_word
@@ -409,3 +411,22 @@ def test_enumeration_has_no_duplicates_and_hits_known_counts():
 def test_enumeration_respects_width_bound():
     for p in enumerate_ipomsets("ab", 3, max_width=1):
         assert p.width() <= 1
+
+
+# -- one base for the errors that list problems ------------------------------
+
+@pytest.mark.parametrize("make, error", [
+    (lambda: Ipomset(("a", "b"), precedence=[(0, 1), (1, 0)]), InvalidIpomset),
+    (lambda: HDA([Cell("v", (), (), ()), Cell("x", ("a",), ("v",), ("w",))],
+                 ["v"], ["v"]), InvalidHDA),
+    (lambda: STAutomaton({"a"}, {"q": ()}, [("q", identity_step(()), "q")],
+                         ["q"], ["q"]), InvalidSTAutomaton),
+    (lambda: UPFunction(r=0, s=0, f=(), tau=()), InvalidUPFunction),
+], ids=["precedence cycle", "dangling face", "identity transition", "r=0"])
+def test_invalid_values_share_one_base(make, error):
+    with pytest.raises(error) as info:
+        make()
+    exc = info.value
+    assert isinstance(exc, Invalid) and isinstance(exc, ValueError)
+    assert isinstance(exc.problems, tuple) and exc.problems
+    assert str(exc) == "; ".join(map(str, exc.problems))

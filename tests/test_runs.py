@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from hdalang import (HDA, Step, accepts_word, build, coherent_word,
+from hdalang import (HDA, Ipomset, Step, accepts_word, build, coherent_word,
                      complement_empty, complement_member, complement_words,
                      count_sparse_accepting_paths, decide, discrete_ipomset,
                      empty, enumerate_wang, export_st, identity_step, include,
@@ -311,3 +311,18 @@ def test_member_reads_the_width_bound_not_the_cells(monkeypatch):
     assert member(x, parse_ipomset("[a0+ a1+ a2+][a0- a1- a2-]"))
     assert not member(x, parse_ipomset("[a0+ a0+ a1+ a2+][a0- a0- a1- a2-]"))
     assert scans == []
+
+
+def test_determinism_takes_each_prefix_width_once(monkeypatch):
+    x = cube(4)
+    prefixes = len(pre_set(x))
+    calls = []
+    width = Ipomset.width
+
+    def counting(self):
+        calls.append(self)
+        return width(self)
+
+    monkeypatch.setattr(Ipomset, "width", counting)
+    assert is_deterministic_language(x) == (True, None)
+    assert 0 < len(calls) <= prefixes
