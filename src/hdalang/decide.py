@@ -14,7 +14,7 @@ itself from the quotients' start sets.
 from __future__ import annotations
 
 from . import stauto
-from .hda import HDA, _segment_relation, product, reachable
+from .hda import HDA, _walk, product, reachable
 from .ipomset import (Ipomset, WidthExceeded, _merge_word, compose,
                       identity_step, subsumes, supersumptions)
 from .stauto import (_uncovered, emptiness, inclusion, match_automaton,
@@ -123,10 +123,7 @@ def prefix_quotient(x: HDA, p: Ipomset) -> HDA:
     """The automaton for the left quotient of the language by p: same
     cells, with the start set moved to wherever a path observing p from a
     start cell can end."""
-    rel = _segment_relation(x, p)
-    targets: set[str] = set()
-    for c in x.start:
-        targets |= rel.get(c, set())
+    targets = _walk(x, p, dict.fromkeys(x.start, 1))
     return HDA(x.cells.values(), targets, x.accept, x.alphabet)
 
 

@@ -67,13 +67,13 @@ class HDA:
     id sets.  Construction validates the precubical structure and raises
     InvalidHDA listing every violation.
 
-    Instances must not be mutated: three tables are cached on them,
-    ``_by_conclist``, ``_step_graph`` and ``_st``, the automaton that
-    ``stauto.st_of_hda`` compiles on its first call and returns later.
+    Instances must not be mutated: two tables are cached on them,
+    ``_by_conclist`` and ``_st``, the automaton that ``stauto.st_of_hda``
+    compiles on its first call and returns later.
     """
 
-    __slots__ = ("alphabet", "cells", "start", "accept",
-                 "_by_conclist", "_step_graph", "_st")
+    __slots__ = ("alphabet", "cells", "start", "accept", "_by_conclist",
+                 "_st")
 
     def __init__(self, cells: Iterable[Cell], start: Iterable[str],
                  accept: Iterable[str], alphabet: Iterable[str] = ()):
@@ -93,7 +93,6 @@ class HDA:
         if problems:
             raise InvalidHDA(problems)
         self._by_conclist: dict[tuple[str, ...], tuple[str, ...]] | None = None
-        self._step_graph = None
         self._st = None  # set by stauto.st_of_hda
 
     # -- validation ---------------------------------------------------------
@@ -147,7 +146,8 @@ class HDA:
                             "upper faces")]
         out = [Problem("DanglingReference", (c.id, fid),
                        f"face {fid!r} of cell {c.id!r} does not exist")
-               for fid in c.lower + c.upper if fid not in self.cells]
+               for fid in dict.fromkeys(c.lower + c.upper)
+               if fid not in self.cells]
         if out:
             return out
         for side, faces in (("lower", c.lower), ("upper", c.upper)):
@@ -176,15 +176,13 @@ class HDA:
     def up_steps(self) -> dict[str, list[tuple[frozenset[int], str]]]:
         """For each cell id x, the list of (positions A, cell y) with
         lower face of y at A equal to x.  Nonempty A only; listed by cell y,
-        then in ``composite_faces`` order."""
-        if self._step_graph is None:
-            graph: dict[str, list[tuple[frozenset[int], str]]] = {
-                cid: [] for cid in self.cells}
-            for y in self.cells.values():
-                for a, x in _faces(self, y, 0):
-                    graph[x].append((a, y.id))
-            self._step_graph = graph
-        return self._step_graph
+        then in ``composite_faces`` order.  Built anew on each call."""
+        graph: dict[str, list[tuple[frozenset[int], str]]] = {
+            cid: [] for cid in self.cells}
+        for y in self.cells.values():
+            for a, x in _faces(self, y, 0):
+                graph[x].append((a, y.id))
+        return graph
 
 
 def face(hda: HDA, cell_id: str, side: int, positions: Iterable[int]) -> str:
@@ -582,27 +580,21 @@ def enumerate_language(hda: HDA, max_steps: int) -> set[tuple]:
         cell, last, word = queue.popleft()
         if len(word) >= max_steps:
             continue
+        moves: list[tuple[Step, str]] = []
         if last != "starter":
-            for a, y in up[cell]:
-                st = starter(hda.cells[y].events, a)
-                w2 = word + (st.key(),)
-                if (y, w2) in seen:
-                    continue
-                seen.add((y, w2))
-                if y in hda.accept:
-                    words.add(w2)
-                queue.append((y, "starter", w2))
+            moves += [(starter(hda.cells[y].events, a), y) for a, y in up[cell]]
         if last != "terminator":
             c = hda.cells[cell]
-            for b, y in _faces(hda, c, 1):
-                st = Step("terminator", c.events, b)
-                w2 = word + (st.key(),)
-                if (y, w2) in seen:
-                    continue
-                seen.add((y, w2))
-                if y in hda.accept:
-                    words.add(w2)
-                queue.append((y, "terminator", w2))
+            moves += [(Step("terminator", c.events, b), y)
+                      for b, y in _faces(hda, c, 1)]
+        for st, y in moves:
+            w2 = word + (st.key(),)
+            if (y, w2) in seen:
+                continue
+            seen.add((y, w2))
+            if y in hda.accept:
+                words.add(w2)
+            queue.append((y, st.kind, w2))
     return words
 
 
@@ -684,9 +676,8 @@ def pump(hda: HDA, qs: Sequence[Ipomset], m: int, r_max: int) -> PumpResult:
         raise NotAccepted("the glued decomposition is not accepted")
 
     rels = [_segment_relation(hda, q) for q in qs]
-    fwd: list[set[str]] = [set(cid for cid in hda.start
-                               if hda.cells[cid].events
-                               == whole.source_conclist())]
+    # rels[0] relates only the cells over the source conclist onwards
+    fwd: list[set[str]] = [set(hda.start)]
     for rel in rels:
         cur = fwd[-1]
         fwd.append({y for x in cur if x in rel for y in rel[x]})
@@ -701,8 +692,7 @@ def pump(hda: HDA, qs: Sequence[Ipomset], m: int, r_max: int) -> PumpResult:
             rel = rels[j - 1]
             loop = {c: {y for x in ys if x in rel for y in rel[x]}
                     for c, ys in loop.items()}
-            hit = sorted(c for c, ys in loop.items() if c in ys and c in bwd[j])
-            if not hit:
+            if not any(c in ys and c in bwd[j] for c, ys in loop.items()):
                 continue
             members = []
             for t in range(1, r_max + 1):

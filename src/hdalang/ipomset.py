@@ -131,9 +131,11 @@ def _problems(labels, precedence, event_order, source, target) -> list[Problem]:
                                f"target event {x} has successors {above}"))
     # Interval orders are exactly the 2+2-free ones: no x<y, z<w with x!<w,
     # z!<y, which is the same as the predecessor sets forming a chain.
+    # Events on a precedence cycle, reported above, are left out.
+    looped = {x for (x, y) in precedence if x == y}
     pred = [0] * n
     for x, y in precedence:
-        if x != y:
+        if x not in looped and y not in looped:
             pred[y] |= 1 << x
     for y, w in itertools.combinations(range(n), 2):
         a, b = pred[y], pred[w]
@@ -149,11 +151,13 @@ def _problems(labels, precedence, event_order, source, target) -> list[Problem]:
 
 def validate_ipomset(labels, precedence=(), event_order=(),
                      source=(), target=()) -> list[Problem]:
-    """Check raw ipomset data; return every violated invariant (empty = valid)."""
-    n = len(labels)
-    prec = _closure(n, precedence)
-    ev = _closure(n, event_order)
-    return _problems(tuple(labels), prec, ev, frozenset(source), frozenset(target))
+    """Check raw ipomset data as ``Ipomset`` does (an index out of range
+    raises ValueError); return every violated invariant (empty = valid)."""
+    try:
+        Ipomset(labels, precedence, event_order, source, target)
+    except InvalidIpomset as exc:
+        return list(exc.problems)
+    return []
 
 
 # --------------------------------------------------------------------------
@@ -440,7 +444,7 @@ def compose(word: StepWord | Sequence[Step]) -> Ipomset:
     cover: set[tuple[int, int]] = set()
     for pos, step in enumerate(steps):
         if pos:
-            have = tuple(labels[e] for e in active)
+            have = steps[pos - 1].target_conclist()
             if step.source_conclist() != have:
                 raise InterfaceMismatch(
                     f"cannot glue: target conclist {have} != "

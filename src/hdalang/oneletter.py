@@ -5,7 +5,8 @@ vertices with a tower of higher cells over each: it is captured exactly
 by an ultimately periodic function giving the tower height at each
 vertex, plus the accepting dimensions there.  ``build`` realises such a
 description as an HDA, ``analyze`` recovers the minimal description from
-an HDA.
+an HDA; its walk steps from a vertex without an outgoing edge to a
+private sink that loops and accepts nothing, as in a completed HDA.
 """
 from __future__ import annotations
 
@@ -156,32 +157,7 @@ def build(up: UPFunction, letter: str = "a") -> HDA:
 # --------------------------------------------------------------------------
 # analysis
 
-def _out_edges(hda: HDA) -> dict[str, list[str]]:
-    """The edges leaving each cell: those whose lower face it is."""
-    out_edges: dict[str, list[str]] = {cid: [] for cid in hda.cells}
-    for c in hda.cells.values():
-        if c.dim == 1:
-            out_edges[c.lower[0]].append(c.id)
-    return out_edges
-
-
-def _completed(hda: HDA, letter: str) -> HDA:
-    """Give every outgoing-edge-less vertex an edge to a fresh sink vertex
-    carrying a self-loop; the language does not change."""
-    out_edges = _out_edges(hda)
-    stuck = [cid for cid, c in sorted(hda.cells.items())
-             if c.dim == 0 and not out_edges[cid]]
-    if not stuck:
-        return hda
-    sink = "sink"
-    while any(cid == sink or cid.startswith(sink + "_") for cid in hda.cells):
-        sink += "_"
-    cells = list(hda.cells.values())
-    cells.append(Cell(sink, (), (), ()))
-    cells.append(Cell(sink + "_loop", (letter,), (sink,), (sink,)))
-    for i, cid in enumerate(stuck):
-        cells.append(Cell(f"{sink}_in{i}", (letter,), (cid,), (sink,)))
-    return HDA(cells, hda.start, hda.accept, hda.alphabet)
+_SINK = object()  # the looping vertex after a stuck one; no cell id
 
 
 def _corner(hda: HDA, cell_id: str) -> str:
@@ -193,13 +169,13 @@ def analyze(hda: HDA) -> UPFunction:
 
     Raises NotUPRepresentable when the automaton is not over exactly one
     letter, does not start in a single vertex, has inaccessible cells, or
-    is not deterministic.
+    is not deterministic.  The walk follows each vertex's one outgoing
+    edge, or steps to the sink, which has f = 1 and no accepting dimension.
     """
     if len(hda.alphabet) != 1:
         raise NotUPRepresentable(
             "NotOneLetter",
             f"alphabet {sorted(hda.alphabet)} does not have exactly one letter")
-    letter = next(iter(hda.alphabet))
     if len(hda.start) != 1:
         raise NotUPRepresentable(
             "MultipleStartCells",
@@ -216,22 +192,24 @@ def analyze(hda: HDA) -> UPFunction:
         raise NotUPRepresentable(
             "NotAccessible", f"cells {missing} are unreachable from {v0!r}")
 
-    hda = _completed(hda, letter)
     ok, why = is_deterministic_hda(hda)
     if not ok:
         raise NotUPRepresentable("NotDeterministic", why)
 
-    out_edges = _out_edges(hda)
+    out_edges: dict[str, list[str]] = {}
+    for c in hda.cells.values():
+        if c.dim == 1:
+            out_edges.setdefault(c.lower[0], []).append(c.id)
 
     walk = [v0]
     index = {v0: 0}
     while True:
-        edges = sorted(out_edges[walk[-1]])
+        edges = sorted(out_edges.get(walk[-1], ()))
         if len(edges) > 1:
             raise NotUPRepresentable(
                 "NotDeterministic",
                 f"vertex {walk[-1]!r} has outgoing edges {edges}")
-        nxt = hda.cells[edges[0]].upper[0]
+        nxt = hda.cells[edges[0]].upper[0] if edges else _SINK
         if nxt in index:
             s0 = index[nxt]
             r0 = len(walk) - s0
@@ -239,7 +217,7 @@ def analyze(hda: HDA) -> UPFunction:
         index[nxt] = len(walk)
         walk.append(nxt)
 
-    f0 = [0] * len(walk)
+    f0 = [1] * len(walk)  # an edge leaves each vertex, or the sink's loop
     tau0 = [set() for _ in walk]
     for cid, c in hda.cells.items():
         corner = _corner(hda, cid)

@@ -31,17 +31,21 @@ the library did before it compiled cells through per-dimension face
 tables and added the steps to the rows in key order.  The bounded
 complement automaton is determinised by a search with its own start loop
 and letter loop, as the library did before it ran the subset construction
-over the rows of the width-k universe.
+over the rows of the width-k universe.  One-letter analysis walks an
+HDA completed with sink cells, as the library did before it walked the
+given HDA with a sink of its own.
 """
 import itertools
 from collections import deque
 
-from hdalang import (HDA, IdentityHasNoDenseDecomposition, InterfaceMismatch,
-                     InvalidIpomset, Ipomset, Move, Path, Problem, STAutomaton,
-                     StepWord, WidthExceeded, coherent_word, compose,
-                     face, identity_ipomset, identity_step, skeleton,
-                     sparse_decomposition, starter, subsumes, terminator,
-                     validate_path, word_ipomset_of)
+from hdalang import (HDA, Cell, IdentityHasNoDenseDecomposition,
+                     InterfaceMismatch, InvalidIpomset, Ipomset, Move,
+                     NotUPRepresentable, Path, Problem, STAutomaton, StepWord,
+                     UPFunction, WidthExceeded, coherent_word, compose,
+                     face, identity_ipomset, identity_step,
+                     is_deterministic_hda, skeleton, sparse_decomposition,
+                     starter, subsumes, terminator, validate_path,
+                     word_ipomset_of)
 from hdalang.hda import composite_faces, reachable
 from hdalang.ipomset import _letters
 from hdalang.stauto import _post, _starting
@@ -851,3 +855,117 @@ def match_automaton_oracle(alphabet, k):
                 transitions.append((sid(cl), down, sid(down.target_conclist())))
     return STAutomaton(alphabet, states, transitions,
                        states.keys(), states.keys(), width_bound=k)
+
+
+# --------------------------------------------------------------------------
+# one-letter analysis on the completed HDA
+
+def _out_edges(hda: HDA) -> dict[str, list[str]]:
+    """The edges leaving each cell: those whose lower face it is."""
+    out_edges: dict[str, list[str]] = {cid: [] for cid in hda.cells}
+    for c in hda.cells.values():
+        if c.dim == 1:
+            out_edges[c.lower[0]].append(c.id)
+    return out_edges
+
+
+def _completed(hda: HDA, letter: str) -> HDA:
+    """Give every outgoing-edge-less vertex an edge to a fresh sink vertex
+    carrying a self-loop; the language does not change."""
+    out_edges = _out_edges(hda)
+    stuck = [cid for cid, c in sorted(hda.cells.items())
+             if c.dim == 0 and not out_edges[cid]]
+    if not stuck:
+        return hda
+    sink = "sink"
+    while any(cid == sink or cid.startswith(sink + "_") for cid in hda.cells):
+        sink += "_"
+    cells = list(hda.cells.values())
+    cells.append(Cell(sink, (), (), ()))
+    cells.append(Cell(sink + "_loop", (letter,), (sink,), (sink,)))
+    for i, cid in enumerate(stuck):
+        cells.append(Cell(f"{sink}_in{i}", (letter,), (cid,), (sink,)))
+    return HDA(cells, hda.start, hda.accept, hda.alphabet)
+
+
+def _corner(hda: HDA, cell_id: str) -> str:
+    return face(hda, cell_id, 0, range(hda.cells[cell_id].dim))
+
+
+def analyze_oracle(hda: HDA) -> UPFunction:
+    """The minimal ultimately periodic description of a one-letter HDA.
+
+    Raises NotUPRepresentable when the automaton is not over exactly one
+    letter, does not start in a single vertex, has inaccessible cells, or
+    is not deterministic.
+    """
+    if len(hda.alphabet) != 1:
+        raise NotUPRepresentable(
+            "NotOneLetter",
+            f"alphabet {sorted(hda.alphabet)} does not have exactly one letter")
+    letter = next(iter(hda.alphabet))
+    if len(hda.start) != 1:
+        raise NotUPRepresentable(
+            "MultipleStartCells",
+            f"need exactly one start cell, got {sorted(hda.start)}")
+    v0 = next(iter(hda.start))
+    if hda.cells[v0].dim != 0:
+        raise NotUPRepresentable(
+            "MultipleStartCells",
+            f"start cell {v0!r} has dimension {hda.cells[v0].dim}, not 0")
+
+    seen = reachable(hda, [v0])
+    missing = sorted(set(hda.cells) - seen)
+    if missing:
+        raise NotUPRepresentable(
+            "NotAccessible", f"cells {missing} are unreachable from {v0!r}")
+
+    hda = _completed(hda, letter)
+    ok, why = is_deterministic_hda(hda)
+    if not ok:
+        raise NotUPRepresentable("NotDeterministic", why)
+
+    out_edges = _out_edges(hda)
+
+    walk = [v0]
+    index = {v0: 0}
+    while True:
+        edges = sorted(out_edges[walk[-1]])
+        if len(edges) > 1:
+            raise NotUPRepresentable(
+                "NotDeterministic",
+                f"vertex {walk[-1]!r} has outgoing edges {edges}")
+        nxt = hda.cells[edges[0]].upper[0]
+        if nxt in index:
+            s0 = index[nxt]
+            r0 = len(walk) - s0
+            break
+        index[nxt] = len(walk)
+        walk.append(nxt)
+
+    f0 = [0] * len(walk)
+    tau0 = [set() for _ in walk]
+    for cid, c in hda.cells.items():
+        corner = _corner(hda, cid)
+        if corner not in index:
+            raise NotUPRepresentable(
+                "NotAccessible",
+                f"cell {cid!r} sits over {corner!r}, which is off the "
+                "vertex walk")
+        n = index[corner]
+        f0[n] = max(f0[n], c.dim)
+        if cid in hda.accept:
+            tau0[n].add(c.dim)
+
+    def entry(n: int) -> tuple[int, frozenset[int]]:
+        m = n if n < s0 + r0 else s0 + (n - s0) % r0
+        return f0[m], frozenset(tau0[m])
+
+    r = next(rr for rr in range(1, r0 + 1)
+             if r0 % rr == 0
+             and all(entry(s0 + i) == entry(s0 + i % rr) for i in range(r0)))
+    s = s0
+    while s > 0 and entry(s - 1) == entry(s - 1 + r):
+        s -= 1
+    return UPFunction(r, s, tuple(entry(n)[0] for n in range(s + r)),
+                      tuple(entry(n)[1] for n in range(s + r)))

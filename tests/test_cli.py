@@ -75,6 +75,20 @@ def test_validate_reports_problems(capsys, tmp_path):
     assert "DanglingReference" in record["detail"]
 
 
+def test_validate_reports_a_missing_face_once(capsys, tmp_path):
+    bad = tmp_path / "bad.hda"
+    bad.write_text(json.dumps({
+        "alphabet": ["a"],
+        "cells": [{"id": "x", "events": ["a"], "d0": ["nope"],
+                   "d1": ["nope"]}],
+        "start": ["x"], "accept": ["x"],
+    }))
+    code, record = run(capsys, "validate", str(bad))
+    assert code == 1 and record["status"] == "false"
+    assert record["detail"] == ("DanglingReference: face 'nope' of cell 'x' "
+                                "does not exist")
+
+
 # -- pinned answers on the shipped data files -------------------------------------
 
 def test_deterministic_witness_pair(capsys):

@@ -44,6 +44,13 @@ def test_face_arity_must_match_dimension():
     assert any(p.code == "FaceArityMismatch" for p in exc.value.problems)
 
 
+def test_a_missing_face_named_on_both_sides_is_reported_once():
+    with pytest.raises(InvalidHDA) as exc:
+        HDA([Cell("x", ("a",), ("nope",), ("nope",))], ["x"], ["x"])
+    assert [(p.code, p.subjects) for p in exc.value.problems] == [
+        ("DanglingReference", ("x", "nope"))]
+
+
 def test_face_labels_must_drop_one_event():
     # lower face 0 of the square should read just ("b",), not ("a",)
     cells = [

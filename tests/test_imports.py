@@ -34,17 +34,29 @@ def test_an_unused_import_is_found():
     assert unused_imports(source) == [(1, "b"), (2, "c")]
 
 
+def module_names(tree):
+    """The names a module binds at its top level: functions, classes and
+    the targets of plain and annotated assignments."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            yield from (t.id for t in targets if isinstance(t, ast.Name))
+
+
 def orphans(sources):
-    """Private module-level functions and classes, as (module, name), that
-    no module of ``sources`` (module name to text) refers to."""
+    """Private module-level functions, classes and assigned names, as
+    (module, name), that no module of ``sources`` (module name to text)
+    reads."""
     defined, used = [], set()
     for module, source in sources.items():
         tree = ast.parse(source)
-        defined += [(module, node.name) for node in tree.body
-                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and node.name.startswith("_") and not node.name.startswith("__")]
+        defined += [(module, name) for name in module_names(tree)
+                    if name.startswith("_") and not name.startswith("__")]
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
@@ -61,6 +73,22 @@ def test_an_orphaned_helper_is_found():
                     "def f(): return _a()\n",
                "n": "from m import _b\nimport m\nm._C\n"}
     assert orphans(sources) == [("m", "_b")]
+
+
+def test_an_orphaned_assigned_name_is_found():
+    sources = {"m": "_A = 1\n_B: int = 2\n_C = _D = 3\n_E = None\n"
+                    "__all__ = []\nX = _A\n"
+                    "def f():\n    global _E\n    _E = 4\n",
+               "n": "import m\nm._D\n"}
+    assert orphans(sources) == [("m", "_B"), ("m", "_C"), ("m", "_E")]
+
+
+def test_the_private_assigned_names_are_checked():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+    names = {name for source in sources.values()
+             for name in module_names(ast.parse(source))}
+    assert {"_KINDS", "_Group", "_FaceEntry", "_LABEL_CHARS", "_INPUT_ERRORS",
+            "_parser", "_SINK"} <= names
 
 
 def unread_slots(sources):

@@ -1,4 +1,5 @@
 """Ipomsets, steps, decompositions, gluing, and subsumption."""
+import itertools
 import random
 
 import pytest
@@ -93,6 +94,32 @@ def test_validate_returns_problems_instead_of_raising():
     assert problems
     assert all(hasattr(pr, "code") for pr in problems)
     assert validate_ipomset(("a",), (), ()) == []
+
+
+def test_a_precedence_cycle_is_reported_once():
+    with pytest.raises(InvalidIpomset) as exc:
+        Ipomset(("a", "b"), precedence=[(0, 1), (1, 0)])
+    assert [pr.code for pr in exc.value.problems] == ["NotPartialOrder"]
+
+
+def test_a_2_2_beside_a_precedence_cycle_names_only_its_own_events():
+    precedence = [(0, 1), (1, 0), (2, 3), (4, 5)]
+    event_order = [(i, j) for i, j in itertools.combinations(range(6), 2)
+                   if (i, j) not in precedence]
+    with pytest.raises(InvalidIpomset) as exc:
+        Ipomset("abcdef", precedence, event_order)
+    problems = exc.value.problems
+    assert [pr.code for pr in problems] == ["NotPartialOrder", "NotInterval"]
+    assert problems[0].subjects == (0, 1)
+    assert set(problems[1].subjects) == {2, 3, 4, 5}
+
+
+def test_validate_rejects_an_interface_index_out_of_range_like_the_constructor():
+    for kwargs in ({"source": [5]}, {"target": [1]}, {"source": [-1]}):
+        with pytest.raises(ValueError):
+            Ipomset(("a",), **kwargs)
+        with pytest.raises(ValueError):
+            validate_ipomset(("a",), **kwargs)
 
 
 def test_precedence_is_transitively_closed_on_construction():

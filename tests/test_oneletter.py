@@ -7,7 +7,11 @@ from hdalang import (HDA, Cell, InvalidUPFunction, NotUPRepresentable,
                      ParseError, UPFunction, analyze, build, identity_ipomset,
                      member, parse_up, print_up, word_ipomset)
 
-from fixtures import filled_square, one_letter_chain, random_up, track_hda
+from fixtures import (a_loop, ab_c_rectangle, branching_square, cube,
+                      filled_square, one_letter_chain, parallel_square,
+                      random_hda, random_up, rectangle_pair, track_hda,
+                      two_lane_loop)
+from oracles import analyze_oracle
 
 
 def codes(err):
@@ -166,3 +170,83 @@ def test_analyze_rejects_unsuitable_automata():
                        alphabet=("a",))) == "NotAccessible"
     fork = HDA([u, v, w, e, Cell("e2", ("a",), ("u",), ("w",))], ["u"], ["v"])
     assert code_of(fork) == "NotDeterministic"
+
+
+# -- the walk with its own sink, against the completed HDA -------------------------
+
+def outcome(analyse, x):
+    """The printed description, or the code and message of the refusal."""
+    try:
+        return print_up(analyse(x))
+    except NotUPRepresentable as exc:
+        return exc.code, str(exc)
+
+
+def rebuilt(x, cells=None, accept=None, names=None):
+    """x over the given cells and accept set, each by default x's own,
+    with cells renamed by ``names``; start and accept cells that are not
+    kept are dropped."""
+    cells = list(x.cells.values()) if cells is None else cells
+    keep = {c.id for c in cells}
+    name = (names or {}).get
+
+    def renamed(ids):
+        return tuple(name(i, i) for i in ids)
+
+    return HDA([Cell(name(c.id, c.id), c.events, renamed(c.lower),
+                     renamed(c.upper)) for c in cells],
+               renamed(x.start & keep),
+               renamed(keep.intersection(x.accept if accept is None else accept)),
+               x.alphabet)
+
+
+def without_leaves(x, rng):
+    """x without some of the cells that are no face of another cell;
+    dropping an edge leaves its lower vertex stuck."""
+    faces = {f for c in x.cells.values() for f in c.lower + c.upper}
+    leaves = sorted(set(x.cells) - faces)
+    if not leaves:
+        return x
+    dropped = set(rng.sample(leaves, rng.randint(1, len(leaves))))
+    return rebuilt(x, [c for c in x.cells.values() if c.id not in dropped])
+
+
+def is_stuck(x):
+    """Whether some vertex of x has no outgoing edge."""
+    tails = {c.lower[0] for c in x.cells.values() if c.dim == 1}
+    return any(c.dim == 0 and cid not in tails for cid, c in x.cells.items())
+
+
+def sweep():
+    rng = random.Random(9127)
+    sinks = ["sink", "sink_", "sink_loop", "sink_in0"]
+    ups = [build(random_up(rng)) for _ in range(60)]
+    moved = [rebuilt(x, accept=rng.sample(sorted(x.cells),
+                                          rng.randint(0, len(x.cells))))
+             for x in ups]
+    stuck = [without_leaves(without_leaves(x, rng), rng) if rng.random() < 0.3
+             else without_leaves(x, rng) for x in ups + moved]
+    named = [rebuilt(x, names=dict(zip(
+                 rng.sample(sorted(x.cells), min(4, len(x.cells))),
+                 rng.sample(sinks, 4))))
+             for x in ups[:20] + stuck]
+    tracks = [track_hda(word_ipomset("a" * n, source, target))
+              for n in range(1, 5) for source in ((), (0,))
+              for target in ((), (n - 1,))]
+    one_letter = [random_hda(rng, alphabet=("a", "a")) for _ in range(60)]
+    fixtures = [filled_square(), branching_square(), parallel_square(),
+                a_loop(), one_letter_chain(), two_lane_loop(),
+                ab_c_rectangle(), rectangle_pair(), cube(3)]
+    return ups + moved + stuck + named + tracks + one_letter + fixtures
+
+
+def test_analyze_walks_the_given_automaton_like_the_completed_one():
+    kinds, stuck_described = set(), 0
+    for x in sweep():
+        got = outcome(analyze, x)
+        assert got == outcome(analyze_oracle, x)
+        kinds.add(got[0] if isinstance(got, tuple) else "described")
+        stuck_described += isinstance(got, str) and is_stuck(x)
+    assert kinds == {"described", "NotOneLetter", "MultipleStartCells",
+                     "NotAccessible", "NotDeterministic"}
+    assert stuck_described >= 20

@@ -6,12 +6,13 @@ import random
 
 import pytest
 
-from hdalang import (HDA, Ipomset, Step, accepts_word, build, coherent_word,
-                     complement_empty, complement_member, complement_words,
-                     count_sparse_accepting_paths, decide, discrete_ipomset,
-                     empty, enumerate_wang, export_st, identity_step, include,
-                     is_deterministic_language, member, parse_ipomset,
-                     pre_set, st_of_hda, stauto, word_ipomset)
+from hdalang import (HDA, Ipomset, Step, accepts_word, analyze, build,
+                     coherent_word, complement_empty, complement_member,
+                     complement_words, count_sparse_accepting_paths, decide,
+                     discrete_ipomset, empty, enumerate_wang, export_st,
+                     identity_step, include, is_deterministic_language,
+                     member, parse_ipomset, pre_set, prefix_quotient,
+                     st_of_hda, stauto, word_ipomset)
 from hdalang.hda import _segment_relation
 from hdalang.text import print_ipomset
 
@@ -221,6 +222,18 @@ def test_walks_against_the_two_loops():
         assert count_sparse_accepting_paths(x, p) == 2 ** n
 
 
+def test_prefix_quotients_start_where_the_segment_relation_leads():
+    rng = random.Random(29)
+    moved = 0
+    for x in SWEEP:
+        for p in probes(x, rng):
+            rel = _segment_relation(x, p)
+            want = set().union(*(rel.get(c, set()) for c in x.start))
+            assert prefix_quotient(x, p).start == want
+            moved += bool(want)
+    assert moved >= 100
+
+
 # -- no rebuilds -------------------------------------------------------------
 
 @pytest.fixture
@@ -257,6 +270,13 @@ def test_complements_below_the_dimension_reuse_the_compiled_automaton(builds):
     assert complement_member(x, 1, p) == complement_member(x, 1, p)
     complement_empty(x, 1)
     assert builds == {"compiled": [x], "hdas": 0}
+
+
+def test_one_letter_analysis_builds_no_automaton(builds):
+    x = track_hda(word_ipomset("aa"))  # its last vertex has no edge out
+    builds["hdas"] = 0
+    assert analyze(x).s == 3
+    assert builds == {"compiled": [], "hdas": 0}
 
 
 # -- identity letters only where a word is spelled out --------------------------
