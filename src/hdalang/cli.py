@@ -32,8 +32,6 @@ def _emit(record: dict, fmt: str) -> None:
         print(json.dumps(record, sort_keys=True))
         return
     for key, value in record.items():
-        if isinstance(value, bool):
-            value = "true" if value else "false"
         print(f"{key}={value}")
 
 

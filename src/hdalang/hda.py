@@ -610,6 +610,14 @@ def language_ipomsets(hda: HDA, max_steps: int) -> set[Ipomset]:
 # --------------------------------------------------------------------------
 # products
 
+def _joined(names: Iterable[str], sep: str) -> str:
+    """The names joined by ``sep``, with backslash and ``sep`` escaped in
+    each name and the empty name spelled ``\\e``, so that no two
+    sequences of names are joined alike."""
+    return sep.join(name.replace("\\", "\\\\").replace(sep, "\\" + sep)
+                    or "\\e" for name in names)
+
+
 def product(a: HDA, b: HDA) -> HDA:
     """The synchronous product; accepts exactly the ipomsets both accept."""
     pair_id = {}
@@ -617,7 +625,7 @@ def product(a: HDA, b: HDA) -> HDA:
     for xa in sorted(a.cells):
         for xb in sorted(b.cells):
             if a.cells[xa].events == b.cells[xb].events:
-                pair_id[(xa, xb)] = f"({xa},{xb})"
+                pair_id[(xa, xb)] = "(" + _joined((xa, xb), ",") + ")"
     for (xa, xb), cid in pair_id.items():
         ca, cb = a.cells[xa], b.cells[xb]
         lower = tuple(pair_id[(ca.lower[i], cb.lower[i])] for i in range(ca.dim))

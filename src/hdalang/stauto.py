@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .ipomset import (Invalid, Ipomset, Problem, Step, StepWord, compose,
                       identity_step, sparse_decomposition, _letters)
-from .hda import HDA, _face_columns, _face_table
+from .hda import HDA, _face_columns, _face_table, _joined
 
 
 class InvalidSTAutomaton(Invalid):
@@ -29,17 +29,17 @@ class STAutomaton:
     ``states`` maps state ids to conclists, ``width_bound`` records the
     largest conclist the automaton is meant to range over (None leaves it
     unspecified).  The transitions, (source id, step, target id) triples,
-    are checked and indexed into ``successors``, which is all the
-    automaton keeps of them: ``state -> {step: targets}`` with each
-    state's steps in ``Step.key()`` order and the targets a sorted tuple;
-    every run below steps through it.  ``transitions``, the set of
-    triples, is derived from the index the first time it is read.
-    ``_compile`` passes its transitions grouped by step object through
-    the private ``_groups`` (see ``_Group``).
+    are checked (``_checked``) and indexed into ``successors``, which is
+    all the automaton keeps of them: ``state -> {step: targets}`` with
+    each state's steps in ``Step.key()`` order and the targets a sorted
+    tuple; every run below steps through it.  ``transitions``, the set of
+    triples, is derived from the index the first time it is read.  The
+    automata the library builds are valid by construction and pass their
+    transitions unchecked, grouped by step, through the private
+    ``_groups`` (see ``_Group``).
 
-    Instances are validated on construction and must not be mutated:
-    ``st_of_hda`` caches its automaton on the HDA and hands it to every
-    later caller.
+    Instances must not be mutated: ``st_of_hda`` caches its automaton on
+    the HDA and hands it to every later caller.
     """
 
     __slots__ = ("alphabet", "states", "initial", "final", "width_bound",
@@ -50,15 +50,15 @@ class STAutomaton:
                  transitions: Iterable[tuple[str, Step, str]],
                  initial: Iterable[str], final: Iterable[str],
                  width_bound: int | None = None, *,
-                 _groups: Iterable[_Group] = ()):
+                 _groups: Iterable[_Group] | None = None):
         self.alphabet = frozenset(alphabet)
         self.states = {sid: tuple(cl) for sid, cl in states.items()}
         self.initial = frozenset(initial)
         self.final = frozenset(final)
         self.width_bound = width_bound
         self._transitions: frozenset[tuple[str, Step, str]] | None = None
-        self.successors = self._index(itertools.chain(
-            ((s, (q,), (r,)) for q, s, r in transitions), _groups))
+        self.successors = _rows(self.states, self._checked(transitions)
+                                if _groups is None else _groups)
 
     @property
     def transitions(self) -> frozenset[tuple[str, Step, str]]:
@@ -68,19 +68,12 @@ class STAutomaton:
                 for s, targets in row.items() for r in targets)
         return self._transitions
 
-    def _index(self, groups: Iterable[_Group]
-               ) -> dict[str, dict[Step, tuple[str, ...]]]:
-        """Check every transition and index it.  Problems are sorted into
-        their report order only when there are any: transitions by
-        (source, target, step key), each reported once.
-
-        The groups of equal steps are merged, with one hash per group,
-        and the distinct steps sorted by ``Step.key()`` once.  Each step
-        is then added to the rows of all its sources in turn, so every
-        row comes out in key order without being sorted or rebuilt; each
-        transition is checked as it is added, with one hash, and a
-        (state, step) pair with several targets takes one more per
-        target after the first."""
+    def _checked(self, transitions: Iterable[tuple[str, Step, str]]
+                 ) -> list[_Group]:
+        """The triples as one-transition groups, once the states and each
+        triple are checked.  Problems are sorted into their report order
+        only when there are any: transitions by (source, target, step
+        key), each reported once."""
         states = self.states
         problems = []
         for name, ids in (("initial", self.initial), ("final", self.final)):
@@ -92,31 +85,35 @@ class STAutomaton:
             problems.append(Problem(
                 "DanglingReference", (lab,),
                 f"state label {lab!r} is not in the alphabet"))
-        faulty: list[tuple[str, Step, str]] = []
-        merged: dict[Step, tuple[list[str], list[str]]] = {}
-        for s, sources, targets in groups:
-            if s.kind == "identity":
-                faulty += zip(sources, itertools.repeat(s), targets)
-                continue
-            qs, rs = merged.setdefault(s, ([], []))
-            qs += sources
-            rs += targets
-        index: dict[str, dict[Step, tuple[str, ...]]] = {q: {} for q in states}
-        alone = {r: (r,) for r in states}  # one-target tuples, shared by rows
-        for s, (qs, rs) in sorted(merged.items(), key=_step_key):
-            src, tgt = s.source_conclist(), s.target_conclist()
-            for q, r in zip(qs, rs):
-                if states.get(q) != src or states.get(r) != tgt:
-                    faulty.append((q, s, r))
-                    continue
-                one = alone[r]
-                targets = index[q].setdefault(s, one)
-                if targets is not one and r not in targets:
-                    index[q][s] = tuple(sorted(targets + one))
+        faulty, groups = [], []
+        for q, s, r in transitions:
+            if (s.kind == "identity" or states.get(q) != s.source_conclist()
+                    or states.get(r) != s.target_conclist()):
+                faulty.append((q, s, r))
+            else:
+                groups.append((s, (q,), (r,)))
         problems += _problems(states, faulty)
         if problems:
             raise InvalidSTAutomaton(problems)
-        return index
+        return groups
+
+
+def _rows(states: dict[str, tuple[str, ...]], groups: Iterable[_Group]
+          ) -> dict[str, dict[Step, tuple[str, ...]]]:
+    """The successor index of valid transitions: the groups are sorted by
+    ``Step.key()`` once, and each step added to the rows of all its
+    sources in turn, so every row comes out in key order.  Each
+    transition takes one hash, and a (state, step) pair with several
+    targets one more per target after the first."""
+    index: dict[str, dict[Step, tuple[str, ...]]] = {q: {} for q in states}
+    alone = {r: (r,) for r in states}  # one-target tuples, shared by rows
+    for s, sources, targets in sorted(groups, key=lambda g: g[0].key()):
+        for q, r in zip(sources, targets):
+            one = alone[r]
+            got = index[q].setdefault(s, one)
+            if got is not one and r not in got:
+                index[q][s] = tuple(sorted(got + one))
+    return index
 
 
 def _problems(states: dict[str, tuple[str, ...]],
@@ -154,10 +151,6 @@ def _problems(states: dict[str, tuple[str, ...]],
 _Group = tuple[Step, Sequence[str], Sequence[str]]
 
 
-def _step_key(item: tuple[Step, object]) -> tuple:
-    return item[0].key()
-
-
 def st_of_hda(hda: HDA) -> STAutomaton:
     """The ST-automaton with one state per cell: starters climb to a cell
     from its lower faces, terminators drop to its upper faces.
@@ -174,33 +167,23 @@ def _compile(hda: HDA) -> STAutomaton:
     """Compile the cells of each conclist together: their composite faces
     come column by column from the shared face table (``_face_columns``),
     and each starter and terminator of the conclist is built once, from
-    the table's frozensets, with the transitions of all those cells."""
-    # the cells of each conclist; the conclists are spelled with one string
-    # object per label, so that comparing two of them finds each label at
-    # once
-    spelled: dict[str, str] = {}
-    by_conclist: dict[tuple[str, ...], tuple[tuple[str, ...], list[str]]] = {}
-    states: dict[str, tuple[str, ...]] = {}
+    the table's frozensets, with the transitions of all those cells,
+    which a validated HDA makes valid: they are not checked again."""
+    by_conclist: dict[tuple[str, ...], list[str]] = {}
     for c in hda.cells.values():
-        group = by_conclist.get(c.events)
-        if group is None:
-            group = by_conclist[c.events] = (
-                tuple([spelled.setdefault(l, l) for l in c.events]), [])
-        states[c.id] = group[0]
-        group[1].append(c.id)
-
-    def groups() -> Iterator[_Group]:
-        for events, ids in by_conclist.values():
-            d = len(events)
-            lower = _face_columns(hda, d, ids, 0)
-            upper = _face_columns(hda, d, ids, 1)
-            for (_, a, _, _), xs, zs in zip(_face_table(d), lower[1:],
-                                            upper[1:]):
-                yield Step("starter", events, a), xs, ids
-                yield Step("terminator", events, a), ids, zs
-
-    return STAutomaton(hda.alphabet, states, (), hda.start, hda.accept,
-                       width_bound=hda.dim(), _groups=groups())
+        by_conclist.setdefault(c.events, []).append(c.id)
+    groups: list[_Group] = []
+    for events, ids in by_conclist.items():
+        d = len(events)
+        lower = _face_columns(hda, d, ids, 0)
+        upper = _face_columns(hda, d, ids, 1)
+        for (_, a, _, _), xs, zs in zip(_face_table(d), lower[1:], upper[1:]):
+            groups += ((Step("starter", events, a), xs, ids),
+                       (Step("terminator", events, a), ids, zs))
+    return STAutomaton(hda.alphabet,
+                       {c.id: c.events for c in hda.cells.values()}, (),
+                       hda.start, hda.accept, width_bound=hda.dim(),
+                       _groups=groups)
 
 
 def coherent_word(p: Ipomset) -> tuple[Step, ...]:
@@ -343,24 +326,23 @@ def _uncovered(a: STAutomaton, a_start: Iterable[str], b: STAutomaton,
 # the full width-bounded language, and complements
 
 def _conclist_id(conclist: Sequence[str]) -> str:
-    """The labels joined by spaces, with backslash and space escaped in
-    each label and the empty label spelled ``\\e``, so that no two
+    """The labels joined by spaces (``hda._joined``), so that no two
     conclists share an id."""
-    return "(" + " ".join(label.replace("\\", "\\\\").replace(" ", "\\ ")
-                          or "\\e" for label in conclist) + ")"
+    return "(" + _joined(conclist, " ") + ")"
 
 
 def match_automaton(alphabet: Iterable[str], k: int) -> STAutomaton:
     """Recognises every ipomset of width at most k over the alphabet: one
     state per conclist, every state initial and final."""
     letters = sorted(alphabet)
-    states = {_conclist_id(cl): cl for n in range(k + 1)
-              for cl in itertools.product(letters, repeat=n)}
-    transitions = [(sid, s, _conclist_id(s.target_conclist()))
-                   for sid, cl in states.items()
-                   for s in _letters(cl, letters, k - len(cl))]
-    return STAutomaton(alphabet, states, transitions,
-                       states.keys(), states.keys(), width_bound=k)
+    ids = {cl: _conclist_id(cl) for n in range(k + 1)
+           for cl in itertools.product(letters, repeat=n)}
+    groups = [(s, (sid,), (ids[s.target_conclist()],))
+              for cl, sid in ids.items()
+              for s in _letters(cl, letters, k - len(cl))]
+    states = {sid: cl for cl, sid in ids.items()}
+    return STAutomaton(letters, states, (), states.keys(), states.keys(),
+                       width_bound=k, _groups=groups)
 
 
 def complement_words(a: STAutomaton, width: int | None = None) -> STAutomaton:
@@ -370,21 +352,24 @@ def complement_words(a: STAutomaton, width: int | None = None) -> STAutomaton:
     The subset construction of a over the rows of the width-k universe,
     ``match_automaton(a.alphabet, k)``: a state pairs a universe state
     with the set of a-states the word read so far leads to, and is
-    accepting when that set avoids a's final states.  Deciding whether
-    this complement is empty needs no automaton of its own:
-    ``decide.complement_empty`` asks whether the universe is included in a.
+    accepting when that set avoids a's final states.  Each universe step
+    leaves one universe state, so its transitions form one group, passed
+    on unchecked.  Deciding whether this complement is empty needs no
+    automaton of its own: ``decide.complement_empty`` asks whether the
+    universe is included in a.
     """
     k = a.width_bound if width is None else width
     if k is None:
         raise ValueError("no width bound: pass one explicitly")
     universe = match_automaton(a.alphabet, k)
     states: dict[str, tuple[str, ...]] = {}
-    transitions: list[tuple[str, Step, str]] = []
+    groups = {q: [(s, [], []) for s in row]
+              for q, row in universe.successors.items()}
     final = []
     queue: deque[tuple[str, frozenset[str], str]] = deque()
 
     def visit(q: str, dset: frozenset[str]) -> str:
-        sid = q + "{" + " ".join(sorted(dset)) + "}"
+        sid = q + "{" + _joined(sorted(dset), " ") + "}"
         if sid not in states:
             states[sid] = universe.states[q]
             queue.append((q, dset, sid))
@@ -396,10 +381,12 @@ def complement_words(a: STAutomaton, width: int | None = None) -> STAutomaton:
         q, dset, sid = queue.popleft()
         if not dset & a.final:
             final.append(sid)
-        for step, (r,) in universe.successors[q].items():
-            transitions.append((sid, step, visit(r, _post(a, dset, step))))
-    return STAutomaton(a.alphabet, states, transitions, initial, final,
-                       width_bound=k)
+        for (step, sources, targets), (r,) in zip(
+                groups[q], universe.successors[q].values()):
+            sources.append(sid)
+            targets.append(visit(r, _post(a, dset, step)))
+    return STAutomaton(a.alphabet, states, (), initial, final, width_bound=k,
+                       _groups=[g for row in groups.values() for g in row])
 
 
 # --------------------------------------------------------------------------

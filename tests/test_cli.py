@@ -8,7 +8,7 @@ import string
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hdalang import cli, dump_hda, load_hda
+from hdalang import HDA, Cell, cli, dump_hda, load_hda
 from hdalang.cli import main
 
 from fixtures import a_loop
@@ -142,6 +142,15 @@ def test_oneletter_analyze(capsys):
     assert record["up"] == "r=1 s=8 f=1,2,2,1,2,1,1,1,1 tau={};{};{};{};{};{};{};{0};{}"
 
 
+def test_oneletter_analyze_refuses_two_letters(capsys):
+    code, record = run(capsys, "oneletter", "analyze",
+                       f"{DATA}/filled_square.hda")
+    assert code == 1 and record == {
+        "status": "false",
+        "detail": "NotOneLetter: alphabet ['a', 'b'] does not have exactly "
+                  "one letter"}
+
+
 def test_structural_determinism_command(capsys):
     code, record = run(capsys, "deterministic-hda",
                        f"{DATA}/branching_square.hda")
@@ -159,6 +168,20 @@ def test_intersect_writes_a_loadable_automaton(capsys, tmp_path):
     assert code == 0
     code, _ = run(capsys, "member", str(out), "[b]")
     assert code == 1
+
+
+def test_intersect_takes_cell_ids_holding_commas(capsys, tmp_path):
+    left, right, out = (tmp_path / n for n in ("l.hda", "r.hda", "o.hda"))
+    dump_hda(HDA([Cell("x,y", (), (), ()), Cell("x", (), (), ()),
+                  Cell("e", ("a",), ("x,y",), ("x",))], ["x,y"], ["x"]),
+             str(left))
+    dump_hda(HDA([Cell("z", (), (), ()), Cell("y,z", (), (), ()),
+                  Cell("f", ("a",), ("y,z",), ("z",))], ["y,z"], ["z"]),
+             str(right))
+    code, record = run(capsys, "intersect", str(left), str(right),
+                       "-o", str(out))
+    assert code == 0 and record == {"status": "true", "detail": "5 cells"}
+    assert run(capsys, "member", str(out), "[a+][a-]") == (0, {"status": "true"})
 
 
 def test_skeleton_cuts_concurrency(capsys, tmp_path):

@@ -8,14 +8,16 @@ from hdalang import (HDA, InvalidSTAutomaton, STAutomaton, Step, accepts,
                      accepts_word, coherent_word, compose, empty, equivalent,
                      identity_step, include, member, skeleton, st_of_hda,
                      stauto, starter, terminator)
+from hdalang.ipomset import _letters
 from hdalang.text import parse_step_word, print_ipomset, print_step
 
 from fixtures import (a_loop, ab_c_rectangle, branching_square, cube,
                       filled_square, hda_union, one_letter_chain,
                       parallel_square, random_chaining_word, random_hda,
                       random_ipomset, rectangle_pair, two_lane_loop)
-from oracles import (emptiness_oracle, inclusion_oracle, index_oracle,
-                     member_oracle, st_of_hda_oracle, st_problems_oracle,
+from oracles import (complement_words_oracle, emptiness_oracle,
+                     inclusion_oracle, index_oracle, member_oracle,
+                     st_of_hda_oracle, st_problems_oracle,
                      st_transitions_oracle, successors_oracle)
 
 FIXTURES = [filled_square(), branching_square(), parallel_square(), a_loop(),
@@ -193,6 +195,50 @@ def test_doubled_transitions_are_indexed_once():
     twice = STAutomaton(x.alphabet, states, raw + raw[::-1], x.start, x.accept)
     assert rows(twice) == rows(st_of_hda(x))
     assert twice.transitions == frozenset(raw)
+
+
+def test_built_automata_skip_the_check_of_passed_triples(monkeypatch):
+    # the library's own automata are valid by construction; only the
+    # triples a caller passes in are checked
+    def refuse(self, transitions):
+        raise AssertionError("transitions checked")
+
+    monkeypatch.setattr(STAutomaton, "_checked", refuse)
+    a = st_of_hda(cube(3))
+    m = stauto.match_automaton("ab", 2)
+    c = stauto.complement_words(a, 2)
+    assert (len(a.transitions), len(m.states), len(c.states)) == (
+        2 * (4 ** 3 - 3 ** 3), 7, 39)
+    assert shown(include(cube(2), cube(2))) == (True, None)
+    with pytest.raises(AssertionError, match="transitions checked"):
+        STAutomaton("a", {"v": ()}, [], ["v"], ["v"])
+
+
+def test_universe_indexes_match_the_reference():
+    for alphabet, k in (("a", 3), ("ab", 1), ("ab", 3), ("abc", 2),
+                        (("a b", "a", "b"), 2)):
+        m = stauto.match_automaton(alphabet, k)
+        letters = sorted(alphabet)
+        ids = {cl: sid for sid, cl in m.states.items()}
+        raw = [(sid, s, ids[s.target_conclist()])
+               for sid, cl in m.states.items()
+               for s in _letters(cl, letters, k - len(cl))]
+        ref = index_oracle(m.states, raw)
+        assert list(m.successors) == list(m.states)
+        assert [(q, list(ref[q].items())) for q in m.successors] == rows(m)
+
+
+def test_complement_indexes_match_the_reference():
+    rng = random.Random(41)
+    for x in FIXTURES + [random_hda(rng) for _ in range(40)]:
+        a = st_of_hda(x)
+        for k in (1, 2):
+            got = stauto.complement_words(a, k)
+            want = complement_words_oracle(a, k).transitions
+            ref = index_oracle(got.states, want)
+            assert list(got.successors) == list(got.states)
+            assert rows(got) == [(q, list(ref[q].items()))
+                                 for q in got.successors]
 
 
 # -- steps hashed once ----------------------------------------------------------

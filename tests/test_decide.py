@@ -86,6 +86,15 @@ def test_intersect_is_language_intersection():
     assert set(language_ipomsets(z, max_steps=6)) == (lx & ly)
 
 
+def test_intersect_takes_cell_ids_holding_commas():
+    x = HDA([Cell("x,y", (), (), ()), Cell("x", (), (), ())], ["x,y"], ["x"])
+    y = HDA([Cell("z", (), (), ()), Cell("y,z", (), (), ())], ["z"], ["y,z"])
+    z = intersect(x, y)
+    assert len(z.cells) == 4
+    assert (z.start, z.accept) == ({"(x\\,y,z)"}, {"(x,y\\,z)"})
+    assert empty(z)[0]
+
+
 # -- complement --------------------------------------------------------------------
 
 def test_complement_member_finds_first_unaccepted_supersumption():

@@ -224,6 +224,27 @@ def test_path_with_wrong_face_rejected():
         validate_path(x, Path("v", (Move("up", frozenset({0}), "f"),)))
 
 
+@pytest.mark.parametrize("path, index, says", [
+    (Path("nope"), 0, "origin 'nope' does not exist"),
+    (Path("v", (Move("up", frozenset({0}), "e"),
+                Move("up", frozenset({0}), "gone"))),
+     1, "target 'gone' does not exist"),
+    (Path("v", (Move("up", frozenset({0}), "e"),
+                Move("down", frozenset({0}), "x"))),
+     1, "down move from 'e' lands at 'w', not 'x'"),
+    (Path("v", (Move("up", frozenset({0}), "e"),
+                Move("down", frozenset({3}), "w"))),
+     1, "positions [3] out of range for cell 'e' of dimension 1"),
+    (Path("v", (Move("up", frozenset({2}), "q"),)),
+     0, "positions [2] out of range for cell 'q' of dimension 2"),
+])
+def test_each_illegal_move_is_named(path, index, says):
+    with pytest.raises(IllegalMove) as exc:
+        validate_path(filled_square(), path)
+    assert exc.value.index == index
+    assert str(exc.value) == f"move {index}: {says}"
+
+
 def test_move_direction_checked():
     with pytest.raises(ValueError):
         Move("sideways", frozenset(), "v")
@@ -342,6 +363,30 @@ def test_product_language_is_intersection():
     lx = set(language_ipomsets(x, max_steps=6))
     ly = set(language_ipomsets(y, max_steps=6))
     assert set(language_ipomsets(xy, max_steps=6)) == (lx & ly)
+
+
+def test_product_names_pairs_of_ids_holding_commas_apart():
+    # joined by a bare comma, ("x,y", "z") and ("x", "y,z") were one cell
+    x = HDA([Cell("x,y", (), (), ()), Cell("x", (), (), ()),
+             Cell("e", ("a",), ("x,y",), ("x",))], ["x,y"], ["x"])
+    y = HDA([Cell("z", (), (), ()), Cell("y,z", (), (), ()),
+             Cell("f", ("a",), ("y,z",), ("z",)),
+             Cell("g", ("a",), ("z",), ("z",))], ["z", "y,z"], ["z"])
+    xy = product(x, y)
+    assert sorted(xy.cells) == ["(e,f)", "(e,g)", "(x,y\\,z)", "(x,z)",
+                                "(x\\,y,y\\,z)", "(x\\,y,z)"]
+    assert xy.cells["(e,g)"].lower == ("(x\\,y,z)",)
+    lx = set(language_ipomsets(x, max_steps=4))
+    ly = set(language_ipomsets(y, max_steps=4))
+    assert set(language_ipomsets(xy, max_steps=4)) == lx & ly != set()
+
+
+def test_product_names_escape_backslashes_and_empty_ids():
+    x = HDA([Cell("", (), (), ()), Cell("\\", (), (), ()),
+             Cell(",", (), (), ())], ["", "\\", ","], [""])
+    assert sorted(product(x, x).cells) == sorted(
+        f"({p},{q})" for p in ("\\e", "\\\\", "\\,")
+        for q in ("\\e", "\\\\", "\\,"))
 
 
 def test_product_with_random_pairs():

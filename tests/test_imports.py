@@ -1,6 +1,7 @@
 """Every name a library module imports is used in it, every private
-helper it defines is used somewhere in the library, and every slot of a
-library class is read somewhere in the library."""
+helper it defines is used somewhere in the library, every slot of a
+library class is read somewhere in the library, and every private
+keyword-only parameter is passed by some call in the library."""
 import ast
 import pathlib
 
@@ -121,3 +122,40 @@ def test_an_unread_slot_is_found():
                     "        print(self.a)\n",
                "n": "def f(x):\n    return x._c\n"}
     assert unread_slots(sources) == [("m", "A", "_b")]
+
+
+def unpassed_private_keywords(sources):
+    """Private keyword-only parameters of the functions of ``sources``
+    (module name to text), as (module, function, parameter), that no
+    call in ``sources`` passes by name."""
+    params, passed = [], set()
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                params += [(module, node.name, arg.arg)
+                           for arg in node.args.kwonlyargs
+                           if arg.arg.startswith("_")]
+            elif isinstance(node, ast.Call):
+                passed.update(k.arg for k in node.keywords)
+    return sorted(p for p in params if p[2] not in passed)
+
+
+def test_every_private_keyword_is_passed():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+    assert unpassed_private_keywords(sources) == []
+    keywords = {arg.arg for source in sources.values()
+                for node in ast.walk(ast.parse(source))
+                if isinstance(node, ast.FunctionDef)
+                for arg in node.args.kwonlyargs if arg.arg.startswith("_")}
+    assert keywords == {"_composed", "_groups"}
+
+
+def test_an_unpassed_private_keyword_is_found():
+    sources = {"m": "def f(a, *, _b=None, _c=None, d=None):\n    pass\n"
+                    "class A:\n    def g(self, *args, _e=1):\n        pass\n"
+                    "def h(*, _f):\n    pass\n",
+               "n": "import m\nm.f(1, _c=2, d=3)\nm.A().g(_b=4, **{})\n"
+                    "m.h(**{'_f': 5})\n"}
+    # a keyword counts by its name alone, and ** passes no name
+    assert unpassed_private_keywords(sources) == [("m", "g", "_e"),
+                                                  ("m", "h", "_f")]

@@ -96,6 +96,11 @@ def test_validate_returns_problems_instead_of_raising():
     assert validate_ipomset(("a",), (), ()) == []
 
 
+def test_a_precedence_pair_out_of_range_is_refused():
+    with pytest.raises(ValueError, match=r"event index out of range: \(0, 3\)"):
+        Ipomset(("a",), precedence=[(0, 3)])
+
+
 def test_a_precedence_cycle_is_reported_once():
     with pytest.raises(InvalidIpomset) as exc:
         Ipomset(("a", "b"), precedence=[(0, 1), (1, 0)])

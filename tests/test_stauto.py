@@ -1,5 +1,6 @@
 """The translation to step-letter automata and the word-level algorithms."""
 import itertools
+import random
 
 import pytest
 
@@ -12,7 +13,7 @@ from hdalang import (HDA, Cell, InvalidSTAutomaton, STAutomaton, accepts,
 from hdalang.text import parse_step_word, print_ipomset
 
 from fixtures import (a_loop, branching_square, filled_square,
-                      parallel_square)
+                      parallel_square, random_hda)
 
 
 def wang_words(text_words):
@@ -215,6 +216,57 @@ def test_labels_with_spaces_give_distinct_conclist_states(alphabet, k, states):
     assert len(match_automaton(alphabet, k).states) == states
     ok, witness = decide.complement_empty(x, k)
     assert not ok and witness.width() <= k and not accepts(x, witness)
+
+
+def complement_agrees(x, k, max_letters):
+    """Does ``complement_words`` of x accept exactly the coherent words
+    of width at most k, up to ``max_letters`` letters, that x rejects?
+    Returns how many of them x rejects."""
+    comp = complement_words(st_of_hda(x), k)
+    rejected = 0
+    for w in enumerate_wang(match_automaton(x.alphabet, k), max_letters):
+        outside = not accepts(x, word_ipomset_of(w))
+        assert accepts_word(comp, w) == outside, (w, k)
+        rejected += outside
+    return rejected
+
+
+def test_complement_keeps_state_sets_apart_when_ids_hold_spaces():
+    # joined by bare spaces, the sets {"p q"} and {"p", "q"} were one
+    # state, and the one found second was merged into the first
+    x = HDA([Cell("s", (), (), ()), Cell("p q", (), (), ()),
+             Cell("p", (), (), ()), Cell("q", (), (), ()),
+             Cell("e1", ("a",), ("s",), ("p q",)),
+             Cell("e2", ("b",), ("s",), ("p",)),
+             Cell("e3", ("b",), ("s",), ("q",))], ["s"], ["p q"])
+    p = parse_ipomset("[b+][b-]")
+    assert not accepts(x, p)
+    assert accepts_word(complement_words(st_of_hda(x), 1), coherent_word(p))
+    assert complement_agrees(x, 1, 7) > 0
+
+
+def test_complement_words_of_cells_renamed_to_hold_spaces():
+    names = ["A", "B", "C", "A B", "B C", "A C", "A B C", "", " ", "\\",
+             "A\\", "A ", " A", "\\ B"]
+    rng = random.Random(1731)
+    rejected = 0
+    for _ in range(40):
+        x = random_hda(rng)
+        new = dict(zip(sorted(x.cells), rng.sample(names, len(x.cells))))
+        y = HDA([Cell(new[c.id], c.events, tuple(new[f] for f in c.lower),
+                      tuple(new[f] for f in c.upper))
+                 for c in x.cells.values()],
+                [new[c] for c in x.start], [new[c] for c in x.accept],
+                x.alphabet)
+        rejected += complement_agrees(y, 1, 7) + complement_agrees(y, 2, 5)
+    assert rejected > 1000
+
+
+def test_complement_words_needs_a_width_bound():
+    a = STAutomaton("a", {"v": ()}, [], ["v"], ["v"])
+    with pytest.raises(ValueError, match="no width bound"):
+        complement_words(a)
+    assert complement_words(a, 0).states == {"(){v}": ()}
 
 
 def test_complement_of_empty_language_accepts_eps():
