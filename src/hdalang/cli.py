@@ -39,28 +39,26 @@ def _status(flag: bool) -> str:
     return "true" if flag else "false"
 
 
-def _cmd_validate(args) -> tuple[dict, int]:
+def _cmd_validate(args) -> dict:
     try:
         hda = load_hda(args.automaton)
     except InvalidHDA as exc:
-        return {"status": "false", "detail": str(exc)}, 1
-    return {"status": "true", "detail": f"{len(hda.cells)} cells"}, 0
+        return {"status": "false", "detail": str(exc)}
+    return {"status": "true", "detail": f"{len(hda.cells)} cells"}
 
 
-def _cmd_member(args) -> tuple[dict, int]:
+def _cmd_member(args) -> dict:
     hda = load_hda(args.automaton)
     p = parse_ipomset(args.ipomset)
-    ok = decide.member(hda, p)
-    return {"status": _status(ok)}, 0 if ok else 1
+    return {"status": _status(decide.member(hda, p))}
 
 
-def _answer(ok: bool, witness: Ipomset | None) -> tuple[dict, int]:
-    """The record and exit code of a decision that may come with a
-    witness."""
+def _answer(ok: bool, witness: Ipomset | None) -> dict:
+    """The record of a decision that may come with a witness."""
     record = {"status": _status(ok)}
     if witness is not None:
         record["witness"] = print_ipomset(witness)
-    return record, 0 if ok else 1
+    return record
 
 
 def _bounded(args) -> tuple[HDA, int]:
@@ -69,97 +67,97 @@ def _bounded(args) -> tuple[HDA, int]:
     return hda, hda.dim() if args.width is None else args.width
 
 
-def _cmd_include(args) -> tuple[dict, int]:
+def _cmd_include(args) -> dict:
     return _answer(*decide.include(load_hda(args.left), load_hda(args.right)))
 
 
-def _cmd_equiv(args) -> tuple[dict, int]:
+def _cmd_equiv(args) -> dict:
     return _answer(*decide.equivalent(load_hda(args.left),
                                       load_hda(args.right)))
 
 
-def _cmd_empty(args) -> tuple[dict, int]:
+def _cmd_empty(args) -> dict:
     return _answer(*decide.empty(load_hda(args.automaton)))
 
 
-def _cmd_intersect(args) -> tuple[dict, int]:
+def _cmd_intersect(args) -> dict:
     z = decide.intersect(load_hda(args.left), load_hda(args.right))
     dump_hda(z, args.output)
-    return {"status": "true", "detail": f"{len(z.cells)} cells"}, 0
+    return {"status": "true", "detail": f"{len(z.cells)} cells"}
 
 
-def _cmd_complement_member(args) -> tuple[dict, int]:
+def _cmd_complement_member(args) -> dict:
     hda, k = _bounded(args)
     return _answer(*decide.complement_member(hda, k,
                                              parse_ipomset(args.ipomset)))
 
 
-def _cmd_complement_empty(args) -> tuple[dict, int]:
+def _cmd_complement_empty(args) -> dict:
     return _answer(*decide.complement_empty(*_bounded(args)))
 
 
-def _cmd_deterministic(args) -> tuple[dict, int]:
+def _cmd_deterministic(args) -> dict:
     ok, pair = decide.is_deterministic_language(load_hda(args.automaton))
     record = {"status": _status(ok)}
     if pair is not None:
         record["witness"] = f"{print_ipomset(pair[0])}|{print_ipomset(pair[1])}"
-    return record, 0 if ok else 1
+    return record
 
 
-def _cmd_deterministic_hda(args) -> tuple[dict, int]:
+def _cmd_deterministic_hda(args) -> dict:
     ok, why = is_deterministic_hda(load_hda(args.automaton))
     record = {"status": _status(ok)}
     if why is not None:
         record["detail"] = why
-    return record, 0 if ok else 1
+    return record
 
 
-def _cmd_count_paths(args) -> tuple[dict, int]:
+def _cmd_count_paths(args) -> dict:
     hda = load_hda(args.automaton)
     p = parse_ipomset(args.ipomset)
     n = count_sparse_accepting_paths(hda, p)
-    return {"status": _status(n > 0), "count": n}, 0 if n > 0 else 1
+    return {"status": _status(n > 0), "count": n}
 
 
-def _cmd_pump(args) -> tuple[dict, int]:
+def _cmd_pump(args) -> dict:
     hda = load_hda(args.automaton)
     p = parse_ipomset(args.ipomset)
     qs = [s.as_ipomset() for s in dense_decomposition(p).steps]
     try:
         result = pump(hda, qs, args.cut, args.repeat)
     except (NotAccepted, DecompositionTooShort) as exc:
-        return {"status": "false", "detail": str(exc)}, 1
+        return {"status": "false", "detail": str(exc)}
     return {"status": "true", "i": result.i, "j": result.j,
-            "members": "|".join(print_ipomset(q) for q in result.members)}, 0
+            "members": "|".join(print_ipomset(q) for q in result.members)}
 
 
-def _cmd_st_export(args) -> tuple[dict, int]:
+def _cmd_st_export(args) -> dict:
     a = st_of_hda(load_hda(args.automaton))
     with open(args.output, "w", encoding="utf-8") as fp:
         fp.write(export_st(a))
     return {"status": "true",
             "detail": f"{len(a.states)} states, "
-                      f"{len(a.transitions)} transitions"}, 0
+                      f"{len(a.transitions)} transitions"}
 
 
-def _cmd_skeleton(args) -> tuple[dict, int]:
+def _cmd_skeleton(args) -> dict:
     z = skeleton(load_hda(args.automaton), args.width)
     dump_hda(z, args.output)
-    return {"status": "true", "detail": f"{len(z.cells)} cells"}, 0
+    return {"status": "true", "detail": f"{len(z.cells)} cells"}
 
 
-def _cmd_oneletter_analyze(args) -> tuple[dict, int]:
+def _cmd_oneletter_analyze(args) -> dict:
     try:
         up = analyze(load_hda(args.automaton))
     except NotUPRepresentable as exc:
-        return {"status": "false", "detail": str(exc)}, 1
-    return {"status": "true", "up": print_up(up)}, 0
+        return {"status": "false", "detail": str(exc)}
+    return {"status": "true", "up": print_up(up)}
 
 
-def _cmd_oneletter_build(args) -> tuple[dict, int]:
+def _cmd_oneletter_build(args) -> dict:
     hda = build(parse_up(args.up), args.letter)
     dump_hda(hda, args.output)
-    return {"status": "true", "detail": f"{len(hda.cells)} cells"}, 0
+    return {"status": "true", "detail": f"{len(hda.cells)} cells"}
 
 
 def _non_negative(text: str) -> int:
@@ -257,7 +255,7 @@ def main(argv=None) -> int:
         _parser = build_parser()
     args = _parser.parse_args(argv)
     try:
-        record, code = args.handler(args)
+        record = args.handler(args)
     except _INPUT_ERRORS as exc:
         _emit({"status": "error", "detail": str(exc)}, args.format)
         return 2
@@ -266,7 +264,7 @@ def main(argv=None) -> int:
               args.format)
         return 3
     _emit(record, args.format)
-    return code
+    return 0 if record["status"] == "true" else 1
 
 
 if __name__ == "__main__":

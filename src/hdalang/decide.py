@@ -22,11 +22,8 @@ from .stauto import (_uncovered, emptiness, inclusion, match_automaton,
 
 
 def member(x: HDA, p: Ipomset) -> bool:
-    """Is p in the language of x?"""
-    a = st_of_hda(x)
-    if p.width() > a.width_bound:  # x.dim(), without a scan of the cells
-        return False
-    return stauto.member(a, p)
+    """Is p in the language of x?  The run rejects a p wider than x."""
+    return stauto.member(st_of_hda(x), p)
 
 
 def include(x: HDA, y: HDA) -> tuple[bool, Ipomset | None]:
@@ -166,7 +163,7 @@ def is_deterministic_language(x: HDA) -> tuple[bool, tuple[Ipomset, Ipomset] | N
             # most the width of the coarser one
             if q_prec > p_prec or q_width < p_width:
                 continue
-            if p == q or p_targets == q_targets or not subsumes(p, q):
+            if p_targets == q_targets or not subsumes(p, q):
                 continue
             key = (p_targets, q_targets)
             if key not in cache:

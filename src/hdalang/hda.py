@@ -223,8 +223,8 @@ def _face_table(d: int) -> tuple[_FaceEntry, ...]:
     return tuple(table)
 
 
-def _face_columns(hda: HDA, d: int, ids: list[str], side: int
-                  ) -> list[list[str]]:
+def _face_columns(hda: HDA, d: int, ids: Sequence[str], side: int
+                  ) -> list[Sequence[str]]:
     """The composite faces of the d-cells ``ids`` on one side (0 lower,
     1 upper), in columns: column 0 is ``ids``, and column k + 1 holds
     each cell's face at the positions a of entry k of ``_face_table(d)``.

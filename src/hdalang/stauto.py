@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .ipomset import (Invalid, Ipomset, Problem, Step, StepWord, compose,
                       identity_step, sparse_decomposition, _letters)
@@ -169,11 +169,9 @@ def _compile(hda: HDA) -> STAutomaton:
     and each starter and terminator of the conclist is built once, from
     the table's frozensets, with the transitions of all those cells,
     which a validated HDA makes valid: they are not checked again."""
-    by_conclist: dict[tuple[str, ...], list[str]] = {}
-    for c in hda.cells.values():
-        by_conclist.setdefault(c.events, []).append(c.id)
+    hda.by_conclist(())  # builds the cached index that hda._walk reads
     groups: list[_Group] = []
-    for events, ids in by_conclist.items():
+    for events, ids in hda._by_conclist.items():
         d = len(events)
         lower = _face_columns(hda, d, ids, 0)
         upper = _face_columns(hda, d, ids, 1)
@@ -227,34 +225,38 @@ def _starting(a: STAutomaton, states: Iterable[str],
     return frozenset(q for q in states if a.states[q] == conclist)
 
 
+def _run(a: STAutomaton, states: frozenset[str], steps: Iterable[Step]
+         ) -> frozenset[str]:
+    """The states ``steps`` lead to from ``states``, identities skipped."""
+    for step in steps:
+        if step.kind != "identity":
+            states = _post(a, states, step)
+            if not states:
+                break
+    return states
+
+
 def accepts_word(a: STAutomaton, word: Sequence[Step]) -> bool:
     """Is ``word`` a coherent word the automaton accepts?  Coherent means
-    ``id s1 id ... sn id``, each identity over the conclist its step ends
-    in (the first over that of the initial state)."""
-    if len(word) % 2 == 0 or word[0].kind != "identity":
+    ``id s1 id ... sn id``: no step si an identity, each identity over the
+    conclist its step ends in (the first over that of the initial state)."""
+    steps = word[1::2]
+    if len(word) % 2 == 0 or word[0].kind != "identity" or any(
+            s.kind == "identity" or ident.kind != "identity"
+            or ident.conclist != s.target_conclist()
+            for s, ident in zip(steps, word[2::2])):
         return False
     states = _starting(a, a.initial, word[0].conclist)
-    for i in range(1, len(word), 2):
-        step, ident = word[i], word[i + 1]
-        if ident.kind != "identity" or ident.conclist != step.target_conclist():
-            return False
-        states = _post(a, states, step)
-        if not states:
-            return False
-    return bool(states & a.final)
+    return bool(_run(a, states, steps) & a.final)
 
 
 def member(a: STAutomaton, p: Ipomset) -> bool:
     """Is p in the recognised ipomset language?  Runs the steps of its
-    sparse word from the states over its source conclist: the same run as
-    ``accepts_word(a, coherent_word(p))``, with no identity letters."""
+    sparse word from the states over its source conclist, as
+    ``accepts_word(a, coherent_word(p))`` does; a p wider than every
+    state needs no check of its own, as the run dies at its widest step."""
     states = _starting(a, a.initial, p.source_conclist())
-    for step in sparse_decomposition(p).steps:
-        if step.kind != "identity":  # the one letter of an identity word
-            states = _post(a, states, step)
-            if not states:
-                return False
-    return bool(states & a.final)
+    return bool(_run(a, states, sparse_decomposition(p).steps) & a.final)
 
 
 def enumerate_wang(a: STAutomaton, max_letters: int) -> set[tuple[Step, ...]]:
@@ -298,28 +300,35 @@ def inclusion(a: STAutomaton, b: STAutomaton) -> tuple[bool, Ipomset | None]:
 def _uncovered(a: STAutomaton, a_start: Iterable[str], b: STAutomaton,
                b_start: Iterable[str]) -> tuple[Step, ...] | None:
     """A shortest coherent word that a accepts from ``a_start`` and b
-    rejects from ``b_start``, or None when there is none: breadth-first
-    over pairs of an a-state and the set of b-states the same word
-    reaches.  The queue holds the words' steps only; the identities
-    are spelled out in the one word returned."""
-    queue: deque[tuple[str, frozenset[str], tuple[Step, ...]]] = deque()
-    seen = set()
-    for q in sorted(a_start):
-        pair = (q, _starting(b, b_start, a.states[q]))
-        seen.add(pair)
-        queue.append(pair + ((),))
-    while queue:
-        q, bset, word = queue.popleft()
+    rejects from ``b_start``, or None: the word of the first pair of
+    ``_pairs`` from the sorted ``a_start`` with a final a-state and no
+    final b-state.  Only this word is spelled with its identities."""
+    for q, bset, word in _pairs(a, sorted(a_start), b, b_start):
         if q in a.final and not bset & b.final:
             return _spelled(word[0].source_conclist() if word
                             else a.states[q], word)
+    return None
+
+
+def _pairs(a: STAutomaton, a_start: Iterable[str], b: STAutomaton,
+           b_start: Iterable[str]
+           ) -> Iterator[tuple[str, frozenset[str], tuple[Step, ...]]]:
+    """Breadth-first over pairs of an a-state and the set of b-states the
+    same word reaches, from ``a_start`` in the order given: each pair
+    once, in the order first reached, with the steps of a shortest word
+    to it.  Every search on pairs of states reads this one loop."""
+    queue = deque((q, _starting(b, b_start, a.states[q]), ())
+                  for q in a_start)
+    seen = {(q, bset) for q, bset, _ in queue}
+    while queue:
+        q, bset, word = item = queue.popleft()
+        yield item
         for step, targets in a.successors[q].items():
             bnext = _post(b, bset, step) if bset else bset
             for r in targets:
                 if (r, bnext) not in seen:
                     seen.add((r, bnext))
                     queue.append((r, bnext, word + (step,)))
-    return None
 
 
 # --------------------------------------------------------------------------
@@ -350,41 +359,33 @@ def complement_words(a: STAutomaton, width: int | None = None) -> STAutomaton:
     ``width`` (defaulting to a's bound) that a does not accept.
 
     The subset construction of a over the rows of the width-k universe,
-    ``match_automaton(a.alphabet, k)``: a state pairs a universe state
-    with the set of a-states the word read so far leads to, and is
-    accepting when that set avoids a's final states.  Each universe step
-    leaves one universe state, so its transitions form one group, passed
-    on unchecked.  Deciding whether this complement is empty needs no
-    automaton of its own: ``decide.complement_empty`` asks whether the
-    universe is included in a.
+    ``match_automaton(a.alphabet, k)``: its states are the pairs that
+    ``_pairs`` reaches on (universe, a), accepting when the a-set avoids
+    a's final states.  A pair's id is the universe id, each ``{`` escaped,
+    then the a-state ids in braces.  Each universe step leaves one
+    universe state, so its transitions form one group, filled from that
+    state's row and passed on unchecked.  Deciding whether this
+    complement is empty needs no automaton of its own:
+    ``decide.complement_empty`` asks whether the universe is included in a.
     """
     k = a.width_bound if width is None else width
     if k is None:
         raise ValueError("no width bound: pass one explicitly")
     universe = match_automaton(a.alphabet, k)
-    states: dict[str, tuple[str, ...]] = {}
-    groups = {q: [(s, [], []) for s in row]
-              for q, row in universe.successors.items()}
-    final = []
-    queue: deque[tuple[str, frozenset[str], str]] = deque()
-
-    def visit(q: str, dset: frozenset[str]) -> str:
-        sid = q + "{" + _joined(sorted(dset), " ") + "}"
-        if sid not in states:
-            states[sid] = universe.states[q]
-            queue.append((q, dset, sid))
-        return sid
-
-    initial = [visit(q, _starting(a, a.initial, cl))
+    ids = {(q, dset): q.replace("{", "\\{") + "{"
+           + _joined(sorted(dset), " ") + "}"
+           for q, dset, _ in _pairs(universe, universe.states, a, a.initial)}
+    states = {sid: universe.states[q] for (q, _), sid in ids.items()}
+    initial = [ids[q, _starting(a, a.initial, cl)]
                for q, cl in universe.states.items()]
-    while queue:
-        q, dset, sid = queue.popleft()
-        if not dset & a.final:
-            final.append(sid)
-        for (step, sources, targets), (r,) in zip(
-                groups[q], universe.successors[q].values()):
+    final = [sid for (_, dset), sid in ids.items() if not dset & a.final]
+    rows = universe.successors
+    groups = {q: [(s, [], []) for s in row] for q, row in rows.items()}
+    for (q, dset), sid in ids.items():
+        for (step, sources, targets), (r,) in zip(groups[q],
+                                                  rows[q].values()):
             sources.append(sid)
-            targets.append(visit(r, _post(a, dset, step)))
+            targets.append(ids[r, _post(a, dset, step)])
     return STAutomaton(a.alphabet, states, (), initial, final, width_bound=k,
                        _groups=[g for row in groups.values() for g in row])
 

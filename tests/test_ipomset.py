@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hdalang import (EMPTY, IdentityHasNoDenseDecomposition, InterfaceMismatch,
-                     InvalidIpomset, Ipomset, Step, StepWord, WidthExceeded, compose,
+                     InvalidIpomset, Ipomset, ParseError, Step, StepWord,
+                     WidthExceeded, compose,
                      dense_decomposition, discrete_ipomset, enumerate_ipomsets,
                      glue, identity_ipomset, identity_step, in_down_closure,
                      parallel, parse_ipomset, print_ipomset, print_step,
@@ -14,9 +15,10 @@ from hdalang import (EMPTY, IdentityHasNoDenseDecomposition, InterfaceMismatch,
                      terminator, validate_ipomset, word_ipomset)
 from hdalang import (HDA, Cell, Invalid, InvalidHDA, InvalidSTAutomaton,
                      InvalidUPFunction, STAutomaton, UPFunction)
+from hdalang.hda import face
 from hdalang.text import parse_step_word, print_step_word
 
-from fixtures import random_ipomset, random_step_word
+from fixtures import filled_square, random_ipomset, random_step_word
 from oracles import merge_normalize, subsumes_oracle, width_oracle
 
 seeds = st.integers(min_value=0, max_value=10**9)
@@ -462,3 +464,48 @@ def test_invalid_values_share_one_base(make, error):
     assert isinstance(exc, Invalid) and isinstance(exc, ValueError)
     assert isinstance(exc.problems, tuple) and exc.problems
     assert str(exc) == "; ".join(map(str, exc.problems))
+
+
+# -- error paths and small behaviours ----------------------------------------
+
+@pytest.mark.parametrize("text, position, message", [
+    ("", 0, "expected a bracket, got end of input"),
+    ("  ", 2, "expected a bracket, got end of input"),
+    ("x", 0, "expected '[', got 'x'"),
+    ("[a!]", 2, "unexpected character '!'"),
+    ("[a+x]", 3, "unexpected character 'x'"),
+    ("[+]", 1, "unexpected character '+'"),
+    ("[a\tb]", 2, "unexpected character '\\t'"),
+    ("[a", 2, "unterminated bracket"),
+    ("[a b]]", 5, "expected '[', got ']'"),
+    # a syntax error anywhere is reported before a mixed bracket
+    ("[a+ b-][x!", 9, "unexpected character '!'"),
+])
+def test_bracket_parse_errors_name_their_position(text, position, message):
+    with pytest.raises(ParseError) as info:
+        parse_step_word(text)
+    assert info.value.position == position
+    assert str(info.value) == f"at {position}: {message}"
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: StepWord(()), "a step word has at least one step"),
+    (lambda: compose(()), "cannot compose an empty step sequence"),
+    (lambda: Step("bogus", (), frozenset()), "unknown step kind: bogus"),
+    (lambda: face(filled_square(), "q", 2, [0]),
+     "face side must be 0 or 1, got 2"),
+], ids=["empty step word", "empty composition", "step kind", "face side"])
+def test_bad_arguments_raise_value_errors(make, message):
+    with pytest.raises(ValueError) as info:
+        make()
+    assert str(info.value) == message
+
+
+def test_step_words_compare_hash_and_print():
+    word = [starter(("a",), {0}), identity_step(("a",))]
+    assert not StepWord(word).is_sparse()
+    assert StepWord(word) == StepWord(list(word))
+    assert hash(StepWord(word)) == hash(StepWord(list(word)))
+    assert not StepWord(word) == 1
+    assert not parse_ipomset("[]") == 1
+    assert repr(starter(("a", "b"), {0})) == "Step('[a+ b]')"

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from hdalang import (HDA, Ipomset, Step, accepts_word, analyze, build,
+from hdalang import (HDA, Cell, Ipomset, Step, accepts_word, analyze, build,
                      coherent_word, complement_empty, complement_member,
                      complement_words, count_sparse_accepting_paths, decide,
                      discrete_ipomset, empty, enumerate_wang, export_st,
@@ -346,3 +346,45 @@ def test_determinism_takes_each_prefix_width_once(monkeypatch):
     monkeypatch.setattr(Ipomset, "width", counting)
     assert is_deterministic_language(x) == (True, None)
     assert 0 < len(calls) <= prefixes
+
+
+def test_complement_words_runs_the_pair_search_once(monkeypatch):
+    calls = []
+    pairs = stauto._pairs
+
+    def counting(*args):
+        calls.append(args)
+        return pairs(*args)
+
+    monkeypatch.setattr(stauto, "_pairs", counting)
+    comp = complement_words(st_of_hda(cube(2)), 2)
+    assert len(calls) == 1 and comp.final
+
+
+def test_member_takes_no_width(monkeypatch):
+    x = cube(3)
+    inside = parse_ipomset("[a0+ a1+ a2+][a0- a1- a2-]")
+    wider = parse_ipomset("[a0+ a0+ a1+ a2+][a0- a0- a1- a2-]")
+    st_of_hda(x)
+
+    def refused(self):
+        raise AssertionError("width taken")
+
+    monkeypatch.setattr(Ipomset, "width", refused)
+    assert member(x, inside)
+    assert not member(x, wider)
+
+
+def test_compiling_builds_the_shared_conclist_index():
+    x = cube(2)
+    assert x._by_conclist is None
+    st_of_hda(x)
+    assert x._by_conclist is not None
+    assert x.by_conclist(("a0",)) == ("c20", "c21")
+
+
+def test_accepts_word_refuses_an_identity_in_a_step_place():
+    a = st_of_hda(HDA([Cell("v", (), (), ())], ["v"], ["v"]))
+    ident = identity_step(())
+    assert accepts_word(a, (ident,))
+    assert not accepts_word(a, (ident, ident, ident))

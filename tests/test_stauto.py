@@ -262,6 +262,37 @@ def test_complement_words_of_cells_renamed_to_hold_spaces():
     assert rejected > 1000
 
 
+def test_complement_keeps_state_sets_apart_when_labels_hold_braces():
+    # the universe ids (a) and (a){b) once ran on into the a-state ids
+    # b){c and c alike, as (a){b){c}: the complement had 5 states, not 6
+    x = HDA([Cell("v", (), (), ()), Cell("w", (), (), ()),
+             Cell("b){c", ("a",), ("v",), ("w",)),
+             Cell("c", ("a){b",), ("v",), ("w",))], ["b){c", "c"], ["w"])
+    comp = complement_words(st_of_hda(x), 1)
+    assert len(comp.states) == 6
+    assert not accepts(x, identity_ipomset(("a){b",)))
+    assert accepts_word(comp, (identity_step(("a){b",)),))
+    assert complement_agrees(x, 1, 7) > 0
+
+
+def test_complement_words_of_labels_and_cells_holding_braces():
+    alphabets = [("a", "a){b"), ("a){b", "a"), ("{", ") {"), ("a b", "}")]
+    names = ["b){c", "c", "b", "{", "}", "c} {", "b) {c", ")", " ", "c{",
+             "{c}", "b){", "){", "a){b"]
+    rng = random.Random(2207)
+    rejected = 0
+    for i in range(40):
+        x = random_hda(rng, alphabet=alphabets[i % 4])
+        new = dict(zip(sorted(x.cells), rng.sample(names, len(x.cells))))
+        y = HDA([Cell(new[c.id], c.events, tuple(new[f] for f in c.lower),
+                      tuple(new[f] for f in c.upper))
+                 for c in x.cells.values()],
+                [new[c] for c in x.start], [new[c] for c in x.accept],
+                x.alphabet)
+        rejected += complement_agrees(y, 1, 7) + complement_agrees(y, 2, 5)
+    assert rejected > 1000
+
+
 def test_complement_words_needs_a_width_bound():
     a = STAutomaton("a", {"v": ()}, [], ["v"], ["v"])
     with pytest.raises(ValueError, match="no width bound"):
