@@ -311,20 +311,39 @@ def _uncovered(a: STAutomaton, a_start: Iterable[str], b: STAutomaton,
 
 
 def _pairs(a: STAutomaton, a_start: Iterable[str], b: STAutomaton,
-           b_start: Iterable[str]
+           b_start: Iterable[str], sets: dict | None = None
            ) -> Iterator[tuple[str, frozenset[str], tuple[Step, ...]]]:
     """Breadth-first over pairs of an a-state and the set of b-states the
     same word reaches, from ``a_start`` in the order given: each pair
     once, in the order first reached, with the steps of a shortest word
-    to it.  Every search on pairs of states reads this one loop."""
-    queue = deque((q, _starting(b, b_start, a.states[q]), ())
-                  for q in a_start)
+    to it.  Every search on pairs of states reads this one loop.
+
+    Equal b-sets are one object, interned in ``sets`` (a dict of its
+    own unless given), so each is hashed once.  A set of one state is
+    stepped through that state's row: ``sets`` also maps each target
+    tuple read there to its set.  Larger sets go through ``_post``; the
+    empty set steps to itself."""
+    sets = {} if sets is None else sets
+    queue = deque()
+    for q in a_start:
+        bset = _starting(b, b_start, a.states[q])
+        queue.append((q, sets.setdefault(bset, bset), ()))
     seen = {(q, bset) for q, bset, _ in queue}
     while queue:
         q, bset, word = item = queue.popleft()
         yield item
+        row = b.successors[next(iter(bset))] if len(bset) == 1 else None
         for step, targets in a.successors[q].items():
-            bnext = _post(b, bset, step) if bset else bset
+            if not bset:
+                bnext = bset
+            elif row is not None:
+                bnext = sets.get(key := row.get(step, ()))
+                if bnext is None:
+                    bnext = frozenset(key)
+                    bnext = sets[key] = sets.setdefault(bnext, bnext)
+            else:
+                bnext = _post(b, bset, step)
+                bnext = sets.setdefault(bnext, bnext)
             for r in targets:
                 if (r, bnext) not in seen:
                     seen.add((r, bnext))
@@ -364,7 +383,9 @@ def complement_words(a: STAutomaton, width: int | None = None) -> STAutomaton:
     a's final states.  A pair's id is the universe id, each ``{`` escaped,
     then the a-state ids in braces.  Each universe step leaves one
     universe state, so its transitions form one group, filled from that
-    state's row and passed on unchecked.  Deciding whether this
+    state's row and passed on unchecked; an a-set of one state finds its
+    successor set in the search's own table (``_pairs``' ``sets``), and
+    only larger sets are stepped again.  Deciding whether this
     complement is empty needs no automaton of its own:
     ``decide.complement_empty`` asks whether the universe is included in a.
     """
@@ -372,9 +393,11 @@ def complement_words(a: STAutomaton, width: int | None = None) -> STAutomaton:
     if k is None:
         raise ValueError("no width bound: pass one explicitly")
     universe = match_automaton(a.alphabet, k)
+    sets: dict = {}
     ids = {(q, dset): q.replace("{", "\\{") + "{"
            + _joined(sorted(dset), " ") + "}"
-           for q, dset, _ in _pairs(universe, universe.states, a, a.initial)}
+           for q, dset, _ in _pairs(universe, universe.states, a, a.initial,
+                                    sets)}
     states = {sid: universe.states[q] for (q, _), sid in ids.items()}
     initial = [ids[q, _starting(a, a.initial, cl)]
                for q, cl in universe.states.items()]
@@ -382,10 +405,13 @@ def complement_words(a: STAutomaton, width: int | None = None) -> STAutomaton:
     rows = universe.successors
     groups = {q: [(s, [], []) for s in row] for q, row in rows.items()}
     for (q, dset), sid in ids.items():
+        row = a.successors[next(iter(dset))] if len(dset) == 1 else None
         for (step, sources, targets), (r,) in zip(groups[q],
                                                   rows[q].values()):
             sources.append(sid)
-            targets.append(ids[r, _post(a, dset, step)])
+            dnext = (sets[row.get(step, ())] if row is not None
+                     else _post(a, dset, step) if dset else dset)
+            targets.append(ids[r, dnext])
     return STAutomaton(a.alphabet, states, (), initial, final, width_bound=k,
                        _groups=[g for row in groups.values() for g in row])
 

@@ -493,6 +493,24 @@ def inclusion_oracle(a, b):
     return True, None
 
 
+def pairs_oracle(a, a_start, b, b_start):
+    """The plain pair search: breadth-first over (a-state, b-set) pairs
+    from ``a_start`` in the order given, every b-set a fresh frozenset
+    and every step through ``_post``."""
+    queue = deque((q, _starting(b, b_start, a.states[q]), ())
+                  for q in a_start)
+    seen = {(q, bset) for q, bset, _ in queue}
+    while queue:
+        q, bset, word = item = queue.popleft()
+        yield item
+        for step, targets in a.successors[q].items():
+            bnext = _post(b, bset, step) if bset else bset
+            for r in targets:
+                if (r, bnext) not in seen:
+                    seen.add((r, bnext))
+                    queue.append((r, bnext, word + (step,)))
+
+
 def accepts_word_oracle(a, word):
     nodes = frozenset(("in", q) for q in a.initial)
     for letter in word:

@@ -10,9 +10,10 @@ from hdalang import (HDA, Cell, Ipomset, Step, accepts_word, analyze, build,
                      coherent_word, complement_empty, complement_member,
                      complement_words, count_sparse_accepting_paths, decide,
                      discrete_ipomset, empty, enumerate_wang, export_st,
-                     identity_step, include, is_deterministic_language,
-                     member, parse_ipomset, pre_set, prefix_quotient,
-                     st_of_hda, stauto, word_ipomset)
+                     equivalent, identity_step, include,
+                     is_deterministic_language, member, parse_ipomset,
+                     pre_set, prefix_quotient, skeleton, st_of_hda, stauto,
+                     word_ipomset)
 from hdalang.hda import _segment_relation
 from hdalang.text import print_ipomset
 
@@ -25,7 +26,7 @@ from oracles import (accepts_word_oracle, complement_empty_oracle,
                      complement_member_oracle, complement_words_oracle,
                      count_sparse_accepting_paths_oracle,
                      enumerate_wang_oracle, is_deterministic_language_oracle,
-                     pre_set_oracle, segment_relation_oracle,
+                     pairs_oracle, pre_set_oracle, segment_relation_oracle,
                      st_of_hda_oracle)
 
 
@@ -388,3 +389,81 @@ def test_accepts_word_refuses_an_identity_in_a_step_place():
     ident = identity_step(())
     assert accepts_word(a, (ident,))
     assert not accepts_word(a, (ident, ident, ident))
+
+
+def same_pairs(a, a_start, b, b_start):
+    """The pairs of ``_pairs``, once checked against the plain search."""
+    got = list(stauto._pairs(a, a_start, b, b_start))
+    assert got == list(pairs_oracle(a, a_start, b, b_start))
+    return got
+
+
+def test_pair_search_against_the_plain_search():
+    # the branching square and the union step one letter to several
+    # states, so some sets of two or more states are stepped too
+    rng = random.Random(1521)
+    cases = [(x, y) for x in FIXTURES for y in FIXTURES]
+    for d in range(1, 6):
+        x = cube(d)
+        s = skeleton(x, d - 1)
+        cases += [(x, x), (x, s), (s, x)]
+    cases += [(random_hda(rng), random_hda(rng)) for _ in range(100)]
+    sizes = set()
+    for x, y in cases:
+        a, b = st_of_hda(x), st_of_hda(y)
+        for b_start in (b.initial, ()):
+            got = same_pairs(a, sorted(a.initial), b, b_start)
+            sizes.update(min(len(bset), 2) for _, bset, _ in got)
+    assert sizes == {0, 1, 2}
+
+
+def test_quotient_pair_searches_against_the_plain_search():
+    searches = 0
+    for x in PREFIX_SWEEP:
+        a = st_of_hda(x)
+        starts = sorted(set(pre_set(x).values()), key=sorted)
+        for p_targets in starts:
+            for q_targets in starts:
+                same_pairs(a, sorted(p_targets), a, q_targets)
+                searches += 1
+    assert searches > 10000
+
+
+@pytest.fixture
+def posts(monkeypatch):
+    """The sets stepped through ``stauto._post``."""
+    calls = []
+    post = stauto._post
+
+    def counting(a, states, step):
+        calls.append(states)
+        return post(a, states, step)
+
+    monkeypatch.setattr(stauto, "_post", counting)
+    return calls
+
+
+def test_one_state_sets_step_through_their_rows(posts):
+    x = cube(5)
+    assert include(x, x) == (True, None)
+    assert not equivalent(skeleton(x, 4), x)[0]
+    assert complement_words(st_of_hda(cube(4)), 4).final
+    assert posts == []
+
+
+def test_larger_sets_step_through_post(posts):
+    x = hda_union(branching_square(), parallel_square(("v00", "v10")))
+    assert include(x, x) == (True, None)
+    assert posts and all(len(states) > 1 for states in posts)
+
+
+def test_equal_sets_of_one_search_are_one_object():
+    for x in (cube(3), branching_square(), FIXTURES[-1]):
+        a = st_of_hda(x)
+        # from every state, so that the states over one conclist start
+        # from equal sets
+        got = list(stauto._pairs(a, sorted(a.states), a, a.states))
+        starts = [bset for _, bset, _ in got[:len(a.states)]]
+        assert len({id(s) for s in starts}) == len(set(starts)) < len(starts)
+        sets = [bset for _, bset, _ in got]
+        assert len({id(s) for s in sets}) == len(set(sets)) < len(sets)
