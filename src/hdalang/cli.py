@@ -6,8 +6,10 @@ object with the same keys in json mode.  The first key is always
 ``detail``, ``count``, ``i``, ``j``, ``members``, or ``up``.  Exit code 0
 means a true answer or successful write, 1 a false answer, 2 bad input
 (status "error"), 3 a failure of the program itself (status "internal",
-the exception as ``detail``).  Counts (``-k``, ``-m``, ``-r``) must be
-non-negative integers; argparse rejects any other value with exit code 2.
+the exception as ``detail``).  An answer holding a label that bracket
+notation cannot spell is bad input too (problem ``UnspelledLabel``).
+Counts (``-k``, ``-m``, ``-r``) must be non-negative integers; argparse
+rejects any other value with exit code 2.
 """
 from __future__ import annotations
 
@@ -20,11 +22,11 @@ from .hda import (HDA, DecompositionTooShort, InvalidHDA, NotAccepted,
                   count_sparse_accepting_paths, dump_hda,
                   is_deterministic_hda, load_hda, pump, skeleton)
 from .ipomset import (IdentityHasNoDenseDecomposition, InterfaceMismatch,
-                      Invalid, Ipomset, ParseError, WidthExceeded,
+                      Invalid, Ipomset, ParseError, Problem, WidthExceeded,
                       dense_decomposition)
 from .oneletter import NotUPRepresentable, analyze, build, parse_up, print_up
 from .stauto import export_st, st_of_hda
-from .text import parse_ipomset, print_ipomset
+from .text import _LABEL_CHARS, parse_ipomset, print_ipomset
 
 
 def _emit(record: dict, fmt: str) -> None:
@@ -37,6 +39,21 @@ def _emit(record: dict, fmt: str) -> None:
 
 def _status(flag: bool) -> str:
     return "true" if flag else "false"
+
+
+def _spelled(labels) -> None:
+    """Refuse an answer with labels that bracket notation cannot spell,
+    as it could not be read back."""
+    bad = sorted(l for l in set(labels)
+                 if not l or not _LABEL_CHARS.issuperset(l))
+    if bad:
+        raise Invalid(Problem("UnspelledLabel", (l,), f"label {l!r} cannot "
+                              "be written in bracket notation") for l in bad)
+
+
+def _printed(p: Ipomset) -> str:
+    _spelled(p.labels)
+    return print_ipomset(p)
 
 
 def _cmd_validate(args) -> dict:
@@ -57,7 +74,7 @@ def _answer(ok: bool, witness: Ipomset | None) -> dict:
     """The record of a decision that may come with a witness."""
     record = {"status": _status(ok)}
     if witness is not None:
-        record["witness"] = print_ipomset(witness)
+        record["witness"] = _printed(witness)
     return record
 
 
@@ -100,7 +117,7 @@ def _cmd_deterministic(args) -> dict:
     ok, pair = decide.is_deterministic_language(load_hda(args.automaton))
     record = {"status": _status(ok)}
     if pair is not None:
-        record["witness"] = f"{print_ipomset(pair[0])}|{print_ipomset(pair[1])}"
+        record["witness"] = f"{_printed(pair[0])}|{_printed(pair[1])}"
     return record
 
 
@@ -128,11 +145,13 @@ def _cmd_pump(args) -> dict:
     except (NotAccepted, DecompositionTooShort) as exc:
         return {"status": "false", "detail": str(exc)}
     return {"status": "true", "i": result.i, "j": result.j,
-            "members": "|".join(print_ipomset(q) for q in result.members)}
+            "members": "|".join(_printed(q) for q in result.members)}
 
 
 def _cmd_st_export(args) -> dict:
-    a = st_of_hda(load_hda(args.automaton))
+    hda = load_hda(args.automaton)
+    _spelled(hda.alphabet)
+    a = st_of_hda(hda)
     with open(args.output, "w", encoding="utf-8") as fp:
         fp.write(export_st(a))
     return {"status": "true",

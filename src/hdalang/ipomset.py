@@ -12,18 +12,18 @@ relations read transitively closed.  The canonical form of an ipomset is
 its sparse step decomposition, which also serves as equality and hash
 key.
 
-Every ipomset made from a step word comes from ``compose``: it walks
-the word once and keeps the ipomset in interval form (Fishburn): each
-event's start and end step, x preceding y exactly when x ends at an
-earlier step than y starts, and the covering pairs of the event order.
-A chaining word always gives a valid interval ipomset, so nothing is
-closed or checked; ``precedence`` and ``event_order`` are derived on
-first read.  The result carries the word with identities dropped and
-neighbouring steps of one kind merged (``_merge_word``), which is its
-sparse decomposition.  Ipomsets built from raw relations are closed and
-validated, and then put in the same interval form (``_interval_form``):
-the distinct predecessor sets form a chain, whose levels are the start
-and end steps and spell the sparse word.
+Every ipomset made from a step word comes from ``compose``, which takes
+the labels and the word with identities dropped and neighbouring steps
+of one kind merged (``_merge_word``), its sparse decomposition.  A
+chaining word always gives a valid interval ipomset, so nothing is
+closed or checked.  The rest is derived on first read: the interfaces
+and the interval form (Fishburn) by replaying the word (``_replay``):
+each event's start and end step, x preceding y exactly when x ends at an
+earlier step than y starts, and the covering pairs of the event order;
+then ``precedence`` and ``event_order``.  Ipomsets built from raw
+relations are closed and validated, and then put in the same interval
+form (``_interval_form``): the distinct predecessor sets form a chain,
+whose levels are the start and end steps and spell the sparse word.
 Keys, widths, interfaces and printing read the word; ``glue`` composes
 the operands' words, dense words split its steps, and ``supersumptions``
 composes alternating words over p's own events.  ``_letters`` generates
@@ -169,26 +169,26 @@ class Ipomset:
     Built from raw relations, it is closed and validated at construction,
     keeps both closures and reads its interval form and sparse word off
     its predecessor sets (``_interval_form``).  ``compose`` passes the
-    private ``_composed`` (start steps, end steps, merged word) and the
-    covering pairs as ``event_order``; that ipomset is valid by
-    construction and keeps this interval form, from which ``precedence``
-    and ``event_order`` are derived on first read and then kept.
+    labels and the private ``_composed`` (the steps it was given, the
+    merged word); that ipomset is valid by construction, and its
+    interfaces, interval form (``_replay``), ``precedence`` and
+    ``event_order`` are derived on first read and then kept.  The width
+    is read off the word, once.
     """
 
     __slots__ = ("labels", "precedence", "event_order", "source", "target",
-                 "_cover", "_starts", "_ends", "_word", "_key", "_hash")
+                 "_cover", "_starts", "_ends", "_steps", "_word", "_key",
+                 "_hash", "_width")
 
     def __init__(self, labels: Sequence[str], precedence=(), event_order=(),
                  source=(), target=(), *, _composed=None):
         self.labels = labels = tuple(labels)
+        self._key = self._hash = self._width = None
+        if _composed is not None:
+            self._steps, self._word = _composed
+            return
         self.source = source = frozenset(source)
         self.target = target = frozenset(target)
-        self._key = None
-        self._hash = None
-        if _composed is not None:
-            self._cover = event_order
-            self._starts, self._ends, self._word = _composed
-            return
         n = len(labels)
         prec = _closure(n, precedence)
         ev = _closure(n, event_order)
@@ -204,8 +204,11 @@ class Ipomset:
         _interval_form(self)
 
     def __getattr__(self, name: str):
-        # reached only while a composed ipomset's relation is underived;
+        # reached only while a field of a composed ipomset is underived;
         # once stored in its slot, it is read like any other attribute
+        if name in ("source", "target", "_starts", "_ends", "_cover"):
+            _replay(self)
+            return object.__getattribute__(self, name)
         if name == "precedence":  # x ends at an earlier step than y starts
             starts, ends = self._starts, self._ends
             n = len(starts)
@@ -235,7 +238,7 @@ class Ipomset:
         return len(self.labels) - (len(self.source) + len(self.target)) / 2
 
     def is_identity(self) -> bool:
-        return self.size() == 0
+        return self._word.steps[0].kind == "identity"
 
     def is_discrete(self) -> bool:
         return not self.precedence
@@ -281,7 +284,9 @@ class Ipomset:
         some point of any step decomposition, so this is the largest
         conclist of the sparse form.
         """
-        return max(len(conclist) for _, conclist, _ in self.key())
+        if self._width is None:
+            self._width = max(len(s.conclist) for s in self._word.steps)
+        return self._width
 
 
 # --------------------------------------------------------------------------
@@ -416,57 +421,73 @@ class StepWord:
 
 
 def compose(word: StepWord | Sequence[Step]) -> Ipomset:
-    """Glue a step word into one ipomset, in one pass over its steps.
+    """Glue a step word into one ipomset: check that its steps chain, take
+    their labels and merge the word, and stop there.
 
     Events are numbered as the word meets them: the first step's whole
     conclist top to bottom, then the events of each later starter top to
-    bottom.  Each event gets the index of the step that starts it (0 for
-    the first step's events) and of the step that terminates it (the
-    word's length for target events), so x precedes y exactly when x
-    ends at an earlier step than y starts; the event order is generated
-    by the neighbours in the steps' conclists.  A step that does not
-    chain onto the one before it raises InterfaceMismatch with the step's
-    index as ``position``.  The result keeps this interval form and
-    carries the merged word as its sparse decomposition; nothing is
+    bottom.  A step that does not chain onto the one before it raises
+    InterfaceMismatch with the step's index as ``position`` (a StepWord
+    chains already).  The result carries the merged word as its sparse
+    decomposition and keeps the steps given, from which ``_replay``
+    derives its interfaces and interval form on first read; nothing is
     closed or checked, since a chaining word always gives a valid
     interval ipomset.
     """
-    steps = tuple(word.steps if isinstance(word, StepWord) else word)
+    chained = isinstance(word, StepWord)
+    steps = tuple(word.steps if chained else word)
     if not steps:
         raise ValueError("cannot compose an empty step sequence")
-    first = steps[0]
-    labels = list(first.conclist)
-    active = list(range(len(labels)))  # the running conclist, as events
-    source = [e for e in active
-              if first.kind != "starter" or e not in first.marked]
-    starts = [0] * len(labels)
-    ends = [len(steps)] * len(labels)
+    labels = list(steps[0].conclist)
+    for pos in range(1, len(steps)):
+        step = steps[pos]
+        if not chained and (step.source_conclist()
+                            != (have := steps[pos - 1].target_conclist())):
+            raise InterfaceMismatch(
+                f"cannot glue: target conclist {have} != "
+                f"source conclist {step.source_conclist()}", position=pos)
+        if step.kind == "starter":
+            labels += [step.conclist[i] for i in step.key()[2]]
+    merged = _merge_word(steps)
+    if not (chained and merged == steps):  # a sparse StepWord is its own
+        word = StepWord(merged)
+    return Ipomset(labels, _composed=(steps, word))
+
+
+def _replay(p: Ipomset) -> None:
+    """Set the interfaces and interval form of a composed ipomset by
+    walking the steps it was composed from, numbering events as
+    ``compose`` does.  Each event gets the index of the step that starts
+    it (0 for the first step's events) and of the step that terminates it
+    (the word's length for target events), so x precedes y exactly when x
+    ends at an earlier step than y starts; the event order is generated
+    by the neighbours in the steps' conclists (``_cover``)."""
+    steps = p._steps
+    first, n = steps[0], len(p.labels)
+    active = list(range(len(first.conclist)))  # the running conclist, as events
+    p.source = frozenset(e for e in active
+                         if first.kind != "starter" or e not in first.marked)
+    starts, ends = [0] * n, [len(steps)] * n
+    fresh = len(active)
     cover: set[tuple[int, int]] = set()
     for pos, step in enumerate(steps):
-        if pos:
-            have = steps[pos - 1].target_conclist()
-            if step.source_conclist() != have:
-                raise InterfaceMismatch(
-                    f"cannot glue: target conclist {have} != "
-                    f"source conclist {step.source_conclist()}", position=pos)
-            if step.kind == "starter":
-                carried = iter(active)
-                active = []
-                for i, label in enumerate(step.conclist):
-                    if i in step.marked:
-                        active.append(len(labels))
-                        labels.append(label)
-                        starts.append(pos)
-                        ends.append(len(steps))
-                    else:
-                        active.append(next(carried))
+        if pos and step.kind == "starter":
+            carried = iter(active)
+            active = []
+            for i in range(len(step.conclist)):
+                if i in step.marked:
+                    starts[fresh] = pos
+                    active.append(fresh)
+                    fresh += 1
+                else:
+                    active.append(next(carried))
         cover.update(zip(active, active[1:]))
         if step.kind == "terminator":
             for i in step.marked:
                 ends[active[i]] = pos
             active = [e for i, e in enumerate(active) if i not in step.marked]
-    return Ipomset(labels, (), cover, source, active, _composed=(
-        tuple(starts), tuple(ends), StepWord(_merge_word(steps))))
+    p.target = frozenset(active)
+    p._starts, p._ends, p._cover = tuple(starts), tuple(ends), cover
 
 
 def _merge_word(steps: Sequence[Step]) -> tuple[Step, ...]:
@@ -489,7 +510,7 @@ def _merge_word(steps: Sequence[Step]) -> tuple[Step, ...]:
             carry = [i for i in range(len(prev.conclist)) if i not in prev.marked]
             out[-1] = terminator(prev.conclist, prev.marked
                                  | {carry[j] for j in step.marked})
-    return tuple(out) or (identity_step(steps[0].source_conclist()),)
+    return tuple(out) or (steps[0],)  # every step an identity
 
 
 # --------------------------------------------------------------------------
@@ -673,10 +694,18 @@ def supersumptions(p: Ipomset, k: int) -> list[Ipomset]:
     if p.width() > k:
         raise WidthExceeded(f"width {p.width()} exceeds bound {k}")
     forced = {(x, y) for (x, y) in p.event_order if p.concurrent(x, y)}
+    after = [set() for _ in p.labels]  # the events each one precedes
+    for x, y in p.precedence:
+        after[x].add(y)
     seen: dict[tuple, Ipomset] = {}
+    made: dict[tuple, Step] = {}  # each step of the call, built once
 
-    def conclist(running: list[int]) -> tuple[str, ...]:
-        return tuple(p.labels[e] for e in running)
+    def step(kind: str, running: list[int], marked: tuple[int, ...]) -> Step:
+        key = (kind, tuple([p.labels[e] for e in running]), marked)
+        got = made.get(key)
+        if got is None:
+            got = made[key] = Step(kind, key[1], frozenset(marked))
+        return got
 
     def placements(running: list[int], new: tuple[int, ...]) -> list[list[int]]:
         lists = [running]
@@ -689,25 +718,28 @@ def supersumptions(p: Ipomset, k: int) -> list[Ipomset]:
     def walk(running: list[int], unstarted: frozenset[int],
              steps: tuple[Step, ...], last: str) -> None:
         if not unstarted and len(running) == len(p.target):
-            key = tuple(s.key() for s in steps)  # the word is sparse
+            steps = steps or (step("identity", running, ()),)
+            key = tuple([s.key() for s in steps])  # the word is sparse
             if key not in seen:
-                seen[key] = compose(steps or (identity_step(conclist(running)),))
+                seen[key] = q = compose(steps)
+                q._key = key
         if last != "terminator":
             ends = [i for i, x in enumerate(running) if x not in p.target
-                    and all((x, u) in p.precedence for u in unstarted)]
+                    and unstarted <= after[x]]
             for r in range(1, len(ends) + 1):
                 for marked in itertools.combinations(ends, r):
-                    step = terminator(conclist(running), marked)
                     walk([e for i, e in enumerate(running) if i not in marked],
-                         unstarted, steps + (step,), "terminator")
+                         unstarted,
+                         steps + (step("terminator", running, marked),),
+                         "terminator")
         if last != "starter":
             for r in range(1, min(k - len(running), len(unstarted)) + 1):
                 for new in itertools.combinations(sorted(unstarted), r):
                     for order in placements(running, new):
-                        step = starter(conclist(order), [
-                            i for i, e in enumerate(order) if e in new])
+                        marked = tuple(i for i, e in enumerate(order) if e in new)
                         walk(order, unstarted.difference(new),
-                             steps + (step,), "starter")
+                             steps + (step("starter", order, marked),),
+                             "starter")
 
     walk(sorted(p.source, key=lambda x: sum(y == x for _, y in p.event_order)),
          frozenset(p.events()) - p.source, (), "")
@@ -770,13 +802,19 @@ def enumerate_ipomsets(alphabet: Sequence[str], max_events: int,
     width = max_events if max_width is None else min(max_width, max_events)
     sources = [c for n in range(width + 1)
                for c in itertools.product(alphabet, repeat=n)]
+    rows: dict[tuple[str, ...], list[Step]] = {}  # each built once
 
     def walk(conclist: tuple[str, ...], steps: tuple[Step, ...],
              used: int, last: str) -> Iterator[tuple[Step, ...]]:
         yield steps
         room = 0 if last == "starter" else min(max_events - used,
                                                width - len(conclist))
-        for st in _letters(conclist, alphabet, room):
+        if conclist not in rows:
+            rows[conclist] = list(_letters(conclist, alphabet,
+                                           width - len(conclist)))
+        for st in rows[conclist]:  # starters last, by events started
+            if st.kind == "starter" and len(st.marked) > room:
+                break
             if st.kind != last:
                 yield from walk(st.target_conclist(), steps + (st,),
                                 used + len(st.conclist) - len(conclist), st.kind)

@@ -315,23 +315,27 @@ def _pairs(a: STAutomaton, a_start: Iterable[str], b: STAutomaton,
            ) -> Iterator[tuple[str, frozenset[str], tuple[Step, ...]]]:
     """Breadth-first over pairs of an a-state and the set of b-states the
     same word reaches, from ``a_start`` in the order given: each pair
-    once, in the order first reached, with the steps of a shortest word
-    to it.  Every search on pairs of states reads this one loop.
+    once, with the steps of a shortest word to it, yielded as soon as it
+    is first reached.  Pairs leave the queue in that same order, so a
+    caller that stops at a pair expands no more of its level.  Every
+    search on pairs of states reads this one loop.
 
     Equal b-sets are one object, interned in ``sets`` (a dict of its
     own unless given), so each is hashed once.  A set of one state is
     stepped through that state's row: ``sets`` also maps each target
     tuple read there to its set.  Larger sets go through ``_post``; the
-    empty set steps to itself."""
+    empty set steps to itself.  A caller that reads ``sets`` after the
+    search runs the generator to its end."""
     sets = {} if sets is None else sets
-    queue = deque()
+    queue, seen = deque(), set()
     for q in a_start:
         bset = _starting(b, b_start, a.states[q])
-        queue.append((q, sets.setdefault(bset, bset), ()))
-    seen = {(q, bset) for q, bset, _ in queue}
-    while queue:
-        q, bset, word = item = queue.popleft()
+        item = (q, sets.setdefault(bset, bset), ())
+        seen.add(item[:2])
+        queue.append(item)
         yield item
+    while queue:
+        q, bset, word = queue.popleft()
         row = b.successors[next(iter(bset))] if len(bset) == 1 else None
         for step, targets in a.successors[q].items():
             if not bset:
@@ -347,7 +351,9 @@ def _pairs(a: STAutomaton, a_start: Iterable[str], b: STAutomaton,
             for r in targets:
                 if (r, bnext) not in seen:
                     seen.add((r, bnext))
-                    queue.append((r, bnext, word + (step,)))
+                    item = (r, bnext, word + (step,))
+                    queue.append(item)
+                    yield item
 
 
 # --------------------------------------------------------------------------

@@ -195,6 +195,32 @@ def test_skeleton_cuts_concurrency(capsys, tmp_path):
     assert code == 1
 
 
+def test_answers_holding_labels_the_notation_cannot_spell_are_refused(
+        capsys, tmp_path):
+    def one_edge(label):
+        path = tmp_path / f"edge{len(label)}.hda"
+        dump_hda(HDA([Cell("u", (), (), ()), Cell("w", (), (), ()),
+                      Cell("e", (label,), ("u",), ("w",))], ["u"], ["w"]),
+                 str(path))
+        return str(path)
+
+    spaced, blank = one_edge("x y"), one_edge("")
+    for argv, label in ((["empty", spaced], "'x y'"),
+                        (["equiv", spaced, blank], "'x y'"),
+                        (["include", blank, spaced], "''"),
+                        (["empty", blank], "''"),
+                        (["st-export", spaced, "-o", str(tmp_path / "o")],
+                         "'x y'")):
+        code, record = run(capsys, *argv)
+        assert code == 2 and record == {"status": "error", "detail": (
+            f"UnspelledLabel: label {label} cannot be written in bracket "
+            "notation")}, argv
+    assert not (tmp_path / "o").exists()
+    # answers without a witness hold no label
+    assert run(capsys, "include", spaced, spaced) == (0, {"status": "true"})
+    assert run(capsys, "deterministic", blank) == (0, {"status": "true"})
+
+
 def test_st_export_writes_the_table(capsys, tmp_path):
     out = tmp_path / "square.st"
     code, record = run(capsys, "st-export", f"{DATA}/filled_square.hda",

@@ -19,7 +19,8 @@ import hdalang.ipomset
 from hdalang import (InterfaceMismatch, InvalidIpomset, Ipomset, Step,
                      StepWord, accepts, coherent_word, compose,
                      count_sparse_accepting_paths, decide, dense_decomposition,
-                     discrete_ipomset, glue, identity_step, parse_ipomset,
+                     discrete_ipomset, enumerate_ipomsets, glue,
+                     identity_step, parse_ipomset,
                      print_ipomset, sparse_decomposition, supersumptions,
                      validate_ipomset, word_ipomset)
 from hdalang.text import parse_step_word, print_step, print_step_word
@@ -310,3 +311,68 @@ def test_words_and_discrete_ipomsets_with_every_interface(build, n):
 
 def test_a_long_word_is_keyed_like_its_parsed_loop():
     assert word_ipomset("a" * 200).key() == parse_ipomset("[a+][a-]" * 200).key()
+
+
+def test_composing_derives_no_events_until_they_are_read(monkeypatch):
+    loop = a_loop()
+
+    def refuse(p):
+        raise AssertionError("events derived")
+
+    monkeypatch.setattr(hdalang.ipomset, "_replay", refuse)
+    text = "[a+][a-]" * 100
+    p = parse_ipomset(text)
+    assert decide.member(loop, p) and print_ipomset(p) == text
+    assert len(p.key()) == 200 and p.width() == 1
+    q = glue(p, p)
+    assert len(q) == 200 and decide.member(loop, q)
+    with pytest.raises(AssertionError):
+        p.source
+
+
+def test_fields_read_in_any_first_order_match_the_left_fold():
+    rng = random.Random(16)
+    orders = itertools.cycle(itertools.permutations(FIELDS))
+    for _ in range(1200):  # each of the 120 orders ten times
+        word = random_chaining_word(rng)
+        got, want = compose(word), compose_oracle(word)
+        for field in next(orders):
+            assert getattr(got, field) == getattr(want, field), (word, field)
+        assert got.key() == want.key() and got.width() == want.width()
+
+
+def test_composed_events_are_numbered_along_the_given_steps():
+    # merged, the word is [a+ b]: the replay still meets b first
+    p = parse_ipomset("[b][a+ b]")
+    assert p.labels == ("b", "a") and p.source == {0}
+    assert p.event_order == {(1, 0)} and p.target == {0, 1}
+
+
+@pytest.fixture
+def built_steps(monkeypatch):
+    """The (kind, conclist, marks) of every Step built from here on."""
+    keys = []
+    init = Step.__init__
+
+    def counting(self, kind, conclist, marked):
+        keys.append((kind, conclist, frozenset(marked)))
+        init(self, kind, conclist, marked)
+
+    monkeypatch.setattr(Step, "__init__", counting)
+    return keys
+
+
+def test_walks_build_each_step_once_per_call(built_steps):
+    abc = word_ipomset("abc")
+    del built_steps[:]
+    assert len(supersumptions(abc, 2)) == 17
+    assert built_steps and len(set(built_steps)) == len(built_steps)
+    del built_steps[:]
+    assert len(list(enumerate_ipomsets("ab", 3))) == 1273
+    assert built_steps and len(set(built_steps)) == len(built_steps)
+
+
+def test_supersumptions_carry_the_key_of_their_walk():
+    p = parse_ipomset("[a+ b+][a- b][b c+][b- c-]")
+    for q in supersumptions(p, 3):
+        assert q._key == tuple(s.key() for s in sparse_decomposition(q))

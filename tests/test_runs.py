@@ -391,6 +391,23 @@ def test_accepts_word_refuses_an_identity_in_a_step_place():
     assert not accepts_word(a, (ident, ident, ident))
 
 
+def test_emptiness_stops_at_the_first_pair_it_reaches(monkeypatch):
+    a = st_of_hda(x := cube(5))
+    reads = []
+
+    class Counting(dict):
+        def __getitem__(self, q):
+            reads.append(q)
+            return dict.__getitem__(self, q)
+
+    monkeypatch.setattr(a, "successors", Counting(a.successors))
+    assert shown(empty(x)) == (
+        False, "[a0+ a1+ a2+ a3+ a4+][a0- a1- a2- a3- a4-]")
+    # a search that yields each pair only as it leaves the queue expands
+    # every pair before the witness, reading 62 rows
+    assert 0 < len(reads) < 62
+
+
 def same_pairs(a, a_start, b, b_start):
     """The pairs of ``_pairs``, once checked against the plain search."""
     got = list(stauto._pairs(a, a_start, b, b_start))
