@@ -24,7 +24,7 @@ then ``precedence`` and ``event_order``.  Ipomsets built from raw
 relations are closed and validated, and then put in the same interval
 form (``_interval_form``): the distinct predecessor sets form a chain,
 whose levels are the start and end steps and spell the sparse word.
-Keys, widths, interfaces and printing read the word; ``glue`` composes
+Keys, widths, interface conclists and printing read the word; ``glue`` composes
 the operands' words, dense words split its steps, and ``supersumptions``
 composes alternating words over p's own events.  ``_letters`` generates
 the steps leaving a conclist.
@@ -702,10 +702,9 @@ def supersumptions(p: Ipomset, k: int) -> list[Ipomset]:
 
     def step(kind: str, running: list[int], marked: tuple[int, ...]) -> Step:
         key = (kind, tuple([p.labels[e] for e in running]), marked)
-        got = made.get(key)
-        if got is None:
-            got = made[key] = Step(kind, key[1], frozenset(marked))
-        return got
+        if key not in made:
+            made[key] = Step(kind, key[1], frozenset(marked))
+        return made[key]
 
     def placements(running: list[int], new: tuple[int, ...]) -> list[list[int]]:
         lists = [running]
@@ -718,10 +717,10 @@ def supersumptions(p: Ipomset, k: int) -> list[Ipomset]:
     def walk(running: list[int], unstarted: frozenset[int],
              steps: tuple[Step, ...], last: str) -> None:
         if not unstarted and len(running) == len(p.target):
-            steps = steps or (step("identity", running, ()),)
-            key = tuple([s.key() for s in steps])  # the word is sparse
+            word = steps or (step("identity", running, ()),)
+            key = tuple([s.key() for s in word])  # the word is sparse
             if key not in seen:
-                seen[key] = q = compose(steps)
+                seen[key] = q = compose(word)
                 q._key = key
         if last != "terminator":
             ends = [i for i, x in enumerate(running) if x not in p.target
