@@ -13,6 +13,8 @@ itself from the quotients' start sets.
 """
 from __future__ import annotations
 
+from functools import cache
+
 from . import stauto
 from .hda import HDA, _walk, product, reachable
 from .ipomset import (Ipomset, WidthExceeded, _merge_word, compose,
@@ -91,6 +93,8 @@ def pre_set(x: HDA) -> dict[Ipomset, frozenset[str]]:
     step word, which is its sparse decomposition, and is composed once.
     """
     successors = st_of_hda(x).successors
+    # a prefix is merged already, so only its last step merges with the next
+    merge = cache(lambda last, step: _merge_word((last, step)))
     found: dict[tuple, set[str]] = {}
     stack = []
     seen = set()
@@ -109,7 +113,7 @@ def pre_set(x: HDA) -> dict[Ipomset, frozenset[str]]:
                 # move orders that realise the same prefix are
                 # interchangeable, so exploring one (cell, visited, prefix)
                 # triple is enough
-                state = (y, visited | {y}, _merge_word(word + (step,)))
+                state = (y, visited | {y}, word[:-1] + merge(word[-1], step))
                 if state not in seen:
                     seen.add(state)
                     stack.append(state)

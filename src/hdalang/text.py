@@ -1,9 +1,11 @@
 """Bracket notation for steps, step words, and ipomsets.
 
-A step is one bracket: events top to bottom in event order, separated by
-spaces.  A trailing ``+`` marks an event being started, a trailing ``-``
-one being terminated; unmarked events are carried through.  A bracket may
-not mix the two markers, and a bracket with no markers is an identity.
+A step is one bracket: events top to bottom in event order, each a label
+of ASCII letters, digits and ``_``.  Inside a bracket only spaces separate
+and pad them; any whitespace may come before, between and after brackets.
+A trailing ``+`` marks an event being started, a trailing ``-`` one being
+terminated; unmarked events are carried through.  A bracket may not mix
+the two markers, and a bracket with no markers is an identity.
 Examples::
 
     [a+ b]      start an a above a running b
@@ -18,12 +20,17 @@ same ipomset are accepted and normalise on printing.
 """
 from __future__ import annotations
 
+import re
+
 from .ipomset import (Ipomset, ParseError, Step, StepWord, compose,
-                      sparse_decomposition, starter, terminator,
-                      identity_step)
+                      sparse_decomposition, starter, terminator)
 
 _LABEL_CHARS = frozenset(
     "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_")
+# a label with at most one marker; in a bracket it ends at a space or "]"
+_LABEL = f"[{''.join(sorted(_LABEL_CHARS))}]+[+-]?"
+_BRACKET = re.compile(rf"\[((?: *{_LABEL}(?=[ \]]))*) *\]\s*")
+_ITEM = re.compile(f" *(?:{_LABEL})?")
 
 
 def print_step(step: Step) -> str:
@@ -47,56 +54,34 @@ def parse_step_word(text: str) -> StepWord:
     Raises ParseError with a character position on bad syntax, including
     brackets that mix ``+`` and ``-`` markers.
     """
-    i, n = 0, len(text)
-    brackets: list[tuple[int, list[tuple[str, str | None]]]] = []
-    while i < n and text[i].isspace():
-        i += 1
-    if i == n:
-        raise ParseError(i, "expected a bracket, got end of input")
-    while i < n:
-        if text[i] != "[":
-            raise ParseError(i, f"expected '[', got {text[i]!r}")
-        open_at = i
-        i += 1
-        items: list[tuple[str, str | None]] = []
-        while True:
-            while i < n and text[i] == " ":
-                i += 1
-            if i == n:
-                raise ParseError(i, "unterminated bracket")
-            if text[i] == "]":
-                i += 1
-                break
-            start = i
-            while i < n and text[i] in _LABEL_CHARS:
-                i += 1
-            if i == start:
-                raise ParseError(i, f"unexpected character {text[i]!r}")
-            label = text[start:i]
-            mark = None
-            if i < n and text[i] in "+-":
-                mark = text[i]
-                i += 1
-            if i < n and text[i] not in " ]":
-                raise ParseError(i, f"unexpected character {text[i]!r}")
-            items.append((label, mark))
-        brackets.append((open_at, items))
-        while i < n and text[i].isspace():
-            i += 1
+    n = len(text)
+    pos = n - len(text.lstrip())
+    if pos == n:
+        raise ParseError(pos, "expected a bracket, got end of input")
+    brackets = []
+    while pos < n:
+        match = _BRACKET.match(text, pos)
+        if match is None:  # step item by item to the character at fault
+            if text[pos] != "[":
+                raise ParseError(pos, f"expected '[', got {text[pos]!r}")
+            while True:
+                pos = _ITEM.match(text, pos + 1).end()
+                if pos == n:
+                    raise ParseError(pos, "unterminated bracket")
+                if text[pos] != " ":
+                    raise ParseError(pos, f"unexpected character {text[pos]!r}")
+        brackets.append(match)
+        pos = match.end()
     steps = []
-    for open_at, items in brackets:
-        marks = {m for (_, m) in items if m is not None}
-        if len(marks) > 1:
-            raise ParseError(open_at,
+    for match in brackets:  # after the syntax of every bracket is checked
+        inner = match[1]
+        if "+" in inner and "-" in inner:
+            raise ParseError(match.start(),
                              "a step cannot both start and terminate events")
-        conclist = tuple(label for (label, _) in items)
-        marked = {i for i, (_, m) in enumerate(items) if m is not None}
-        if not marks:
-            steps.append(identity_step(conclist))
-        elif marks == {"+"}:
-            steps.append(starter(conclist, marked))
-        else:
-            steps.append(terminator(conclist, marked))
+        items = inner.split()
+        marked = {i for i, item in enumerate(items) if item[-1] in "+-"}
+        make = terminator if "-" in inner else starter
+        steps.append(make([item.rstrip("+-") for item in items], marked))
     return StepWord(steps)
 
 

@@ -33,22 +33,25 @@ complement automaton is determinised by a search with its own start loop
 and letter loop, as the library did before it ran the subset construction
 over the rows of the width-k universe.  One-letter analysis walks an
 HDA completed with sink cells, as the library did before it walked the
-given HDA with a sink of its own.
+given HDA with a sink of its own.  Bracket notation is read by a
+character scanner, as the library did before it matched each bracket
+with one compiled pattern.
 """
 import itertools
 from collections import deque
 
 from hdalang import (HDA, Cell, IdentityHasNoDenseDecomposition,
                      InterfaceMismatch, InvalidIpomset, Ipomset, Move,
-                     NotUPRepresentable, Path, Problem, STAutomaton, StepWord,
-                     UPFunction, WidthExceeded, coherent_word, compose,
-                     face, identity_ipomset, identity_step,
-                     is_deterministic_hda, skeleton, sparse_decomposition,
-                     starter, subsumes, terminator, validate_path,
-                     word_ipomset_of)
+                     NotUPRepresentable, ParseError, Path, Problem,
+                     STAutomaton, StepWord, UPFunction, WidthExceeded,
+                     coherent_word, compose, face, identity_ipomset,
+                     identity_step, is_deterministic_hda, skeleton,
+                     sparse_decomposition, starter, subsumes, terminator,
+                     validate_path, word_ipomset_of)
 from hdalang.hda import composite_faces, reachable
 from hdalang.ipomset import _letters
 from hdalang.stauto import _post, _starting
+from hdalang.text import _LABEL_CHARS
 
 
 def subsumes_oracle(p, q):
@@ -239,6 +242,65 @@ def sparse_decomposition_oracle(p):
         assert a or b, "no step decomposition: the precedence is stuck"
     if not steps:
         steps.append(identity_step(conclist(p.source)[1]))
+    return StepWord(steps)
+
+
+def parse_step_word_oracle(text):
+    """Parse bracket notation into a step word, one character at a time.
+
+    Raises ParseError with a character position on bad syntax, including
+    brackets that mix ``+`` and ``-`` markers.
+    """
+    i, n = 0, len(text)
+    brackets: list[tuple[int, list[tuple[str, str | None]]]] = []
+    while i < n and text[i].isspace():
+        i += 1
+    if i == n:
+        raise ParseError(i, "expected a bracket, got end of input")
+    while i < n:
+        if text[i] != "[":
+            raise ParseError(i, f"expected '[', got {text[i]!r}")
+        open_at = i
+        i += 1
+        items: list[tuple[str, str | None]] = []
+        while True:
+            while i < n and text[i] == " ":
+                i += 1
+            if i == n:
+                raise ParseError(i, "unterminated bracket")
+            if text[i] == "]":
+                i += 1
+                break
+            start = i
+            while i < n and text[i] in _LABEL_CHARS:
+                i += 1
+            if i == start:
+                raise ParseError(i, f"unexpected character {text[i]!r}")
+            label = text[start:i]
+            mark = None
+            if i < n and text[i] in "+-":
+                mark = text[i]
+                i += 1
+            if i < n and text[i] not in " ]":
+                raise ParseError(i, f"unexpected character {text[i]!r}")
+            items.append((label, mark))
+        brackets.append((open_at, items))
+        while i < n and text[i].isspace():
+            i += 1
+    steps = []
+    for open_at, items in brackets:
+        marks = {m for (_, m) in items if m is not None}
+        if len(marks) > 1:
+            raise ParseError(open_at,
+                             "a step cannot both start and terminate events")
+        conclist = tuple(label for (label, _) in items)
+        marked = {i for i, (_, m) in enumerate(items) if m is not None}
+        if not marks:
+            steps.append(identity_step(conclist))
+        elif marks == {"+"}:
+            steps.append(starter(conclist, marked))
+        else:
+            steps.append(terminator(conclist, marked))
     return StepWord(steps)
 
 

@@ -3,17 +3,18 @@ import random
 
 import pytest
 
-from hdalang import (HDA, Cell, WidthExceeded, accepts, complement_empty,
-                     complement_member, discrete_ipomset, empty, equivalent,
-                     identity_ipomset, include, intersect,
+from hdalang import (HDA, Cell, Step, WidthExceeded, accepts,
+                     complement_empty, complement_member, discrete_ipomset,
+                     empty, equivalent, identity_ipomset, include, intersect,
                      is_deterministic_language, language_ipomsets, member,
-                     parse_ipomset, pre_set, prefix_quotient, subsumes,
-                     supersumptions, word_ipomset)
+                     parse_ipomset, pre_set, prefix_quotient, st_of_hda,
+                     subsumes, supersumptions, word_ipomset)
 from hdalang.text import print_ipomset
 
-from fixtures import (a_loop, ab_c_rectangle, branching_square, filled_square,
-                      hda_union, one_letter_chain, parallel_square, random_hda,
-                      random_ipomset, rectangle_pair, track_hda)
+from fixtures import (a_loop, ab_c_rectangle, branching_square, cube,
+                      filled_square, hda_union, one_letter_chain,
+                      parallel_square, random_hda, random_ipomset,
+                      rectangle_pair, track_hda)
 
 
 # -- membership -----------------------------------------------------------------
@@ -181,6 +182,23 @@ def test_pre_set_of_the_filled_square():
     assert eps in pre
     assert parse_ipomset("[a+ b+][a b]") in pre
     assert parse_ipomset("[b]") in pre  # the edge start cell
+
+
+def test_pre_set_merges_only_the_last_step_of_a_prefix(monkeypatch):
+    # a prefix is merged already, so each extension merges its last step
+    # with the next one, and each such pair is merged once per call
+    x = cube(4)
+    st_of_hda(x)  # compiled outside the count
+    built = []
+    init = Step.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(Step, "__init__", counting)
+    assert len(pre_set(x)) == 1105
+    assert len(built) < 1000
 
 
 def test_prefix_quotient_language():

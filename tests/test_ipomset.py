@@ -1,6 +1,7 @@
 """Ipomsets, steps, decompositions, gluing, and subsumption."""
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +20,8 @@ from hdalang.hda import face
 from hdalang.text import parse_step_word, print_step_word
 
 from fixtures import filled_square, random_ipomset, random_step_word
-from oracles import merge_normalize, subsumes_oracle, width_oracle
+from oracles import (merge_normalize, parse_step_word_oracle, subsumes_oracle,
+                     width_oracle)
 
 seeds = st.integers(min_value=0, max_value=10**9)
 
@@ -488,6 +490,60 @@ def test_bracket_parse_errors_name_their_position(text, position, message):
     assert str(info.value) == f"at {position}: {message}"
 
 
+def parse_outcome(parse, text):
+    """The step word ``parse`` reads from text, or its error's type,
+    position and message."""
+    try:
+        return parse(text)
+    except (ParseError, InterfaceMismatch) as exc:
+        return type(exc), exc.position, str(exc)
+
+
+def random_characters(rng):
+    """Characters from the notation, whitespace and a few strangers; half
+    of the strings open a bracket."""
+    alphabet = list("[] +-ab_9!") + ["\t", "\n", "\x1c", "\u2003", "\u00e9"]
+    return rng.choice(["", "["]) + "".join(
+        rng.choice(alphabet) for _ in range(rng.randrange(12)))
+
+
+def random_brackets(rng):
+    """Brackets with doubled markers, empty labels, unclosed brackets and
+    stray closing brackets, between runs of assorted whitespace."""
+    out = []
+    for _ in range(rng.randrange(1, 5)):
+        items = [rng.choice(["a", "b", "ab", "_9", ""])
+                 + rng.choice(["", "+", "-"] * 3 + ["++", "+-", "--", "!"])
+                 for _ in range(rng.randrange(4))]
+        out.append(rng.choice(["", " ", "\n", "\t\u2003"]) + "["
+                   + rng.choice(["", " "]) + " ".join(items)
+                   + rng.choice(["]"] * 6 + [" ]", "", "]]"]))
+    return "".join(out)
+
+
+@pytest.mark.parametrize("generate", [random_characters, random_brackets])
+def test_parse_step_word_matches_the_scanner(generate):
+    rng = random.Random(17)
+    for _ in range(25_000):
+        text = generate(rng)
+        assert (parse_outcome(parse_step_word, text)
+                == parse_outcome(parse_step_word_oracle, text)), text
+
+
+@pytest.mark.parametrize("text", [
+    "[" + "a" * 10**5 + "!]",
+    "[" + " " * 10**5 + "!",
+    "[" + "a+ " * 33_333 + "b!]",
+    "[" + "a " * 50_000,
+    "[a+][a-]" * 6_250 + "[a!]",
+], ids=["long label", "spaces", "items", "unclosed", "good brackets"])
+def test_long_malformed_words_fail_fast_where_the_scanner_does(text):
+    start = time.perf_counter()
+    got = parse_outcome(parse_step_word, text)
+    assert time.perf_counter() - start < 0.5
+    assert got == parse_outcome(parse_step_word_oracle, text)
+
+
 @pytest.mark.parametrize("make, message", [
     (lambda: StepWord(()), "a step word has at least one step"),
     (lambda: compose(()), "cannot compose an empty step sequence"),
@@ -509,3 +565,8 @@ def test_step_words_compare_hash_and_print():
     assert not StepWord(word) == 1
     assert not parse_ipomset("[]") == 1
     assert repr(starter(("a", "b"), {0})) == "Step('[a+ b]')"
+
+
+def test_step_word_repr_shows_bracket_notation():
+    steps = parse_step_word("[a+][a-]").steps
+    assert repr(StepWord(steps)) == "StepWord('[a+][a-]')"
