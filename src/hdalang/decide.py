@@ -17,8 +17,8 @@ from functools import cache
 
 from . import stauto
 from .hda import HDA, _walk, product, reachable
-from .ipomset import (Ipomset, WidthExceeded, _merge_word, compose,
-                      identity_step, subsumes, supersumptions)
+from .ipomset import (Ipomset, Step, WidthExceeded, _merge_word,
+                      compose, identity_step, subsumes, supersumptions)
 from .stauto import (_uncovered, emptiness, inclusion, match_automaton,
                      st_of_hda)
 
@@ -90,22 +90,40 @@ def pre_set(x: HDA) -> dict[Ipomset, frozenset[str]]:
     shorter path into the same cell, so restricting to paths without
     repeated cells keeps the set finite without losing quotient targets
     needed by the determinism check.  A prefix is kept as its merged
-    step word, which is its sparse decomposition, and is composed once.
+    step word, which is its sparse decomposition: as an id that stands
+    for (the id of its word without the last step, the last step), so
+    that a search state hashes no step.  The words are built once at the
+    end and each is composed once.
     """
     successors = st_of_hda(x).successors
-    # a prefix is merged already, so only its last step merges with the next
-    merge = cache(lambda last, step: _merge_word((last, step)))
-    found: dict[tuple, set[str]] = {}
+    # prefix i is the word of prefix links[i][0] followed by the step
+    # links[i][1]; prefix 0 is the empty word, which is no prefix
+    links, ids = [(0, None)], {}
+
+    @cache
+    def extend(p: int, step: Step) -> int:
+        # the id of prefix p then step, interned in ids: a prefix is
+        # merged already, so only its last step merges with the next one
+        # (the empty word has none)
+        up, last = links[p]
+        merged = _merge_word((last, step)) if p else ()
+        link = (up, merged[0]) if len(merged) == 1 else (p, step)
+        i = ids.setdefault(link, len(links))
+        if i == len(links):
+            links.append(link)
+        return i
+
+    found: dict[int, set[str]] = {}
     stack = []
     seen = set()
     for origin in sorted(x.start):
         state = (origin, frozenset({origin}),
-                 (identity_step(x.cells[origin].events),))
+                 extend(0, identity_step(x.cells[origin].events)))
         stack.append(state)
         seen.add(state)
     while stack:
-        cell, visited, word = stack.pop()
-        found.setdefault(word, set()).add(cell)
+        cell, visited, p = stack.pop()
+        found.setdefault(p, set()).add(cell)
         for step, targets in successors[cell].items():
             for y in targets:
                 if y in visited:
@@ -113,11 +131,14 @@ def pre_set(x: HDA) -> dict[Ipomset, frozenset[str]]:
                 # move orders that realise the same prefix are
                 # interchangeable, so exploring one (cell, visited, prefix)
                 # triple is enough
-                state = (y, visited | {y}, word[:-1] + merge(word[-1], step))
+                state = (y, visited | {y}, extend(p, step))
                 if state not in seen:
                     seen.add(state)
                     stack.append(state)
-    return {compose(word): frozenset(ends) for word, ends in found.items()}
+    words: list[tuple[Step, ...]] = [()]
+    for up, step in links[1:]:
+        words.append(words[up] + (step,))
+    return {compose(words[p]): frozenset(ends) for p, ends in found.items()}
 
 
 def prefix_quotient(x: HDA, p: Ipomset) -> HDA:

@@ -106,6 +106,7 @@ class HDA:
                                    f"{name} cell {i!r} does not exist"))
         # each conclist with one event dropped, as its faces must carry it
         expected: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
+        conclists = {cid: c.events for cid, c in cells.items()}
         for c in cells.values():
             events, lower, upper = c.events, c.lower, c.upper
             expect = expected.get(events)
@@ -113,8 +114,8 @@ class HDA:
                 expect = expected[events] = [events[:i] + events[i + 1:]
                                              for i in range(len(events))]
             try:
-                if ([cells[f].events for f in lower] == expect
-                        and [cells[f].events for f in upper] == expect):
+                if ([conclists[f] for f in lower] == expect
+                        and [conclists[f] for f in upper] == expect):
                     continue
             except KeyError:
                 pass
@@ -309,26 +310,27 @@ def hda_from_dict(data: dict) -> HDA:
         problems.append(Problem("FieldType", (field,), f"{field} must be "
                                 f"{kind}, got {value!r}"))
 
+    lists, strs = (list, tuple), itertools.repeat(str)
+
     def strings(value, field: str) -> tuple[str, ...]:
-        got = _strings(value)
-        if got is None:
-            wrong(value, field, "a list of strings")
-        return got or ()
+        if isinstance(value, lists) and all(map(isinstance, value, strs)):
+            return tuple(value)
+        wrong(value, field, "a list of strings")
+        return ()
 
     try:
         cells = []
         for i, c in enumerate(data["cells"]):
-            cid = c["id"]
-            events, d0, d1 = (_strings(c["events"]), _strings(c["d0"]),
-                              _strings(c["d1"]))
-            if (isinstance(cid, str) and events is not None
-                    and d0 is not None and d1 is not None):
-                cells.append(Cell(cid, events, d0, d1))
+            cid, events, d0, d1 = c["id"], c["events"], c["d0"], c["d1"]
+            if (isinstance(cid, str) and isinstance(events, lists)
+                    and isinstance(d0, lists) and isinstance(d1, lists)
+                    and all(map(isinstance, [*events, *d0, *d1], strs))):
+                cells.append(Cell(cid, tuple(events), tuple(d0), tuple(d1)))
                 continue
             if not isinstance(cid, str):
                 wrong(cid, f"id of cell {i}", "a string")
-            for key in ("events", "d0", "d1"):
-                strings(c[key], f"{key} of {cid!r}")
+            for key, value in (("events", events), ("d0", d0), ("d1", d1)):
+                strings(value, f"{key} of {cid!r}")
         start = strings(data["start"], "start")
         accept = strings(data["accept"], "accept")
         alphabet = strings(data.get("alphabet", []), "alphabet")
@@ -338,14 +340,6 @@ def hda_from_dict(data: dict) -> HDA:
     if problems:
         raise InvalidHDA(problems)
     return HDA(cells, start, accept, alphabet)
-
-
-def _strings(value) -> tuple[str, ...] | None:
-    """``value`` as a tuple when it is a list or tuple of strings."""
-    if (isinstance(value, (list, tuple))
-            and all(map(isinstance, value, itertools.repeat(str)))):
-        return tuple(value)
-    return None
 
 
 def dump_hda(hda: HDA, path: str) -> None:

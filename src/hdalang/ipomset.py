@@ -31,6 +31,7 @@ the steps leaving a conclist.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -315,11 +316,7 @@ class Step:
                  marked: frozenset[int]):
         if kind not in _KINDS:
             raise ValueError(f"unknown step kind: {kind}")
-        ordered = tuple(sorted(marked))
-        if ordered and (ordered[0] < 0 or ordered[-1] >= len(conclist)):
-            for p in marked:  # name the first bad one in the set's order
-                if not (0 <= p < len(conclist)):
-                    raise ValueError(f"marked position out of range: {p}")
+        ordered, unmarked = _layout(marked, len(conclist))
         if (kind == "identity") != (not marked):
             raise ValueError("identity steps are exactly the unmarked ones")
         self.kind = kind
@@ -327,8 +324,7 @@ class Step:
         self.marked = marked
         self._key = (kind, conclist, ordered)
         self._hash = hash((kind, conclist, marked))
-        rest = (tuple([l for i, l in enumerate(conclist) if i not in marked])
-                if marked else conclist)
+        rest = tuple([conclist[i] for i in unmarked]) if marked else conclist
         self._source = rest if kind == "starter" else conclist
         self._target = rest if kind == "terminator" else conclist
 
@@ -356,6 +352,21 @@ class Step:
     def __repr__(self) -> str:
         from .text import print_step
         return f"Step({print_step(self)!r})"
+
+
+@functools.cache
+def _layout(marked: frozenset[int], width: int
+            ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The marks sorted and the unmarked positions of a step over a
+    conclist of the given width: the part of ``Step.__init__`` that
+    depends only on the marks and the width, done once for each pair.
+    Marks out of range raise, and a pair that raises is not kept."""
+    ordered = tuple(sorted(marked))
+    if ordered and (ordered[0] < 0 or ordered[-1] >= width):
+        for p in marked:  # name the first bad one in the set's order
+            if not (0 <= p < width):
+                raise ValueError(f"marked position out of range: {p}")
+    return ordered, tuple([i for i in range(width) if i not in marked])
 
 
 def starter(conclist: Sequence[str], marked: Iterable[int]) -> Step:

@@ -10,6 +10,7 @@ coherent spelling of its sparse decomposition is accepted.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import deque
 from typing import Iterable, Iterator, Sequence
@@ -168,20 +169,33 @@ def _compile(hda: HDA) -> STAutomaton:
     come column by column from the shared face table (``_face_columns``),
     and each starter and terminator of the conclist is built once, from
     the table's frozensets, with the transitions of all those cells,
-    which a validated HDA makes valid: they are not checked again."""
+    which a validated HDA makes valid: they are not checked again.  The
+    groups are made in ``Step.key()`` order (starters before
+    terminators, conclists sorted, positions in ``_key_order``), so
+    ``_rows`` sorts them in one linear run."""
     hda.by_conclist(())  # builds the cached index that hda._walk reads
-    groups: list[_Group] = []
-    for events, ids in hda._by_conclist.items():
-        d = len(events)
+    starters: list[_Group] = []
+    terminators: list[_Group] = []
+    for events in sorted(hda._by_conclist):
+        ids, d = hda._by_conclist[events], len(events)
         lower = _face_columns(hda, d, ids, 0)
         upper = _face_columns(hda, d, ids, 1)
-        for (_, a, _, _), xs, zs in zip(_face_table(d), lower[1:], upper[1:]):
-            groups += ((Step("starter", events, a), xs, ids),
-                       (Step("terminator", events, a), ids, zs))
+        for k, a in _key_order(d):
+            starters.append((Step("starter", events, a), lower[k], ids))
+            terminators.append((Step("terminator", events, a), ids, upper[k]))
     return STAutomaton(hda.alphabet,
                        {c.id: c.events for c in hda.cells.values()}, (),
                        hda.start, hda.accept, width_bound=hda.dim(),
-                       _groups=groups)
+                       _groups=starters + terminators)
+
+
+@functools.cache
+def _key_order(d: int) -> tuple[tuple[int, frozenset[int]], ...]:
+    """The column and the mark set of each entry of ``_face_table(d)``,
+    in the order of the entries' position tuples, which is the order of
+    the keys of the steps they mark."""
+    return tuple((k + 1, marks) for _, k, marks in sorted(
+        (a, k, marks) for k, (a, marks, _, _) in enumerate(_face_table(d))))
 
 
 def coherent_word(p: Ipomset) -> tuple[Step, ...]:

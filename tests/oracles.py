@@ -35,7 +35,12 @@ over the rows of the width-k universe.  One-letter analysis walks an
 HDA completed with sink cells, as the library did before it walked the
 given HDA with a sink of its own.  Bracket notation is read by a
 character scanner, as the library did before it matched each bracket
-with one compiled pattern.
+with one compiled pattern.  The loader checks each field of a cell
+through a helper of its own, a step sorts its marks and filters its
+conclist each time it is built, and the compiled groups are made in
+face-table order and sorted into key order afterwards, as the library
+did before it checked a cell in one pass, looked a step's layout up by
+(marks, width) and made the groups in key order.
 """
 import itertools
 from collections import deque
@@ -48,8 +53,9 @@ from hdalang import (HDA, Cell, IdentityHasNoDenseDecomposition,
                      identity_step, is_deterministic_hda, skeleton,
                      sparse_decomposition, starter, subsumes, terminator,
                      validate_path, word_ipomset_of)
-from hdalang.hda import composite_faces, reachable
-from hdalang.ipomset import _letters
+from hdalang.hda import (InvalidHDA, _face_columns, _face_table,
+                         composite_faces, reachable)
+from hdalang.ipomset import _KINDS, Step, _letters
 from hdalang.stauto import _post, _starting
 from hdalang.text import _LABEL_CHARS
 
@@ -375,6 +381,74 @@ def hda_problems_oracle(cells, start, accept):
     return out + found
 
 
+def hda_from_dict_oracle(data):
+    """``hda_from_dict`` as the library had it before it checked a cell's
+    id and lists in one pass: every field of every cell through a helper
+    of its own, each list of strings checked on its own."""
+    problems = []
+
+    def as_strings(value):
+        if (isinstance(value, (list, tuple))
+                and all(map(isinstance, value, itertools.repeat(str)))):
+            return tuple(value)
+        return None
+
+    def wrong(value, field, kind):
+        problems.append(Problem("FieldType", (field,), f"{field} must be "
+                                f"{kind}, got {value!r}"))
+
+    def strings(value, field):
+        got = as_strings(value)
+        if got is None:
+            wrong(value, field, "a list of strings")
+        return got or ()
+
+    try:
+        cells = []
+        for i, c in enumerate(data["cells"]):
+            cid = c["id"]
+            events, d0, d1 = (as_strings(c["events"]), as_strings(c["d0"]),
+                              as_strings(c["d1"]))
+            if (isinstance(cid, str) and events is not None
+                    and d0 is not None and d1 is not None):
+                cells.append(Cell(cid, events, d0, d1))
+                continue
+            if not isinstance(cid, str):
+                wrong(cid, f"id of cell {i}", "a string")
+            for key in ("events", "d0", "d1"):
+                strings(c[key], f"{key} of {cid!r}")
+        start = strings(data["start"], "start")
+        accept = strings(data["accept"], "accept")
+        alphabet = strings(data.get("alphabet", []), "alphabet")
+    except (KeyError, TypeError) as exc:
+        raise InvalidHDA([Problem("Malformed", (), "malformed automaton "
+                                  f"data: {exc}")]) from None
+    if problems:
+        raise InvalidHDA(problems)
+    return HDA(cells, start, accept, alphabet)
+
+
+def step_fields_oracle(kind, conclist, marked):
+    """What ``Step(kind, conclist, marked)`` holds, as its constructor
+    worked it out before it looked the sorted marks and the unmarked
+    positions up by (marks, width): ``(key, hash, source conclist,
+    target conclist)``, or the ValueError it raises."""
+    if kind not in _KINDS:
+        raise ValueError(f"unknown step kind: {kind}")
+    ordered = tuple(sorted(marked))
+    if ordered and (ordered[0] < 0 or ordered[-1] >= len(conclist)):
+        for p in marked:
+            if not (0 <= p < len(conclist)):
+                raise ValueError(f"marked position out of range: {p}")
+    if (kind == "identity") != (not marked):
+        raise ValueError("identity steps are exactly the unmarked ones")
+    rest = (tuple([l for i, l in enumerate(conclist) if i not in marked])
+            if marked else conclist)
+    return ((kind, conclist, ordered), hash((kind, conclist, marked)),
+            rest if kind == "starter" else conclist,
+            rest if kind == "terminator" else conclist)
+
+
 # --------------------------------------------------------------------------
 # ST-automata: uncached construction and linear-scan runs
 
@@ -398,6 +472,27 @@ def st_of_hda_oracle(hda):
     states = {cid: c.events for cid, c in hda.cells.items()}
     return STAutomaton(hda.alphabet, states, st_transitions_oracle(hda),
                        hda.start, hda.accept, width_bound=hda.dim())
+
+
+def compile_oracle(hda):
+    """``st_of_hda`` compiled anew as the library did before it made the
+    groups in step key order: conclists in the order of
+    ``HDA.by_conclist`` and positions in face-table order, the starter
+    and terminator of each position one after the other, all sorted into
+    key order by ``_rows``."""
+    hda.by_conclist(())
+    groups = []
+    for events, ids in hda._by_conclist.items():
+        d = len(events)
+        lower = _face_columns(hda, d, ids, 0)
+        upper = _face_columns(hda, d, ids, 1)
+        for (_, a, _, _), xs, zs in zip(_face_table(d), lower[1:], upper[1:]):
+            groups += ((Step("starter", events, a), xs, ids),
+                       (Step("terminator", events, a), ids, zs))
+    return STAutomaton(hda.alphabet,
+                       {c.id: c.events for c in hda.cells.values()}, (),
+                       hda.start, hda.accept, width_bound=hda.dim(),
+                       _groups=groups)
 
 
 def successors_oracle(states, transitions):

@@ -5,20 +5,24 @@ import random
 import pytest
 
 from hdalang import (HDA, InvalidSTAutomaton, STAutomaton, Step, accepts,
-                     accepts_word, coherent_word, compose, empty, equivalent,
-                     identity_step, include, member, skeleton, st_of_hda,
+                     accepts_word, build, coherent_word, compose,
+                     discrete_ipomset, empty, equivalent, identity_step,
+                     include, member, parse_ipomset, skeleton, st_of_hda,
                      stauto, starter, terminator)
-from hdalang.ipomset import _letters
+from hdalang import ipomset
+from hdalang.ipomset import _KINDS, _letters
 from hdalang.text import parse_step_word, print_ipomset, print_step
 
 from fixtures import (a_loop, ab_c_rectangle, branching_square, cube,
                       filled_square, hda_union, one_letter_chain,
                       parallel_square, random_chaining_word, random_hda,
-                      random_ipomset, rectangle_pair, two_lane_loop)
-from oracles import (complement_words_oracle, emptiness_oracle,
-                     inclusion_oracle, index_oracle, member_oracle,
-                     st_of_hda_oracle, st_problems_oracle,
-                     st_transitions_oracle, successors_oracle)
+                      random_ipomset, random_up, rectangle_pair,
+                      track_hda, two_lane_loop)
+from oracles import (compile_oracle, complement_words_oracle,
+                     emptiness_oracle, inclusion_oracle, index_oracle,
+                     member_oracle, st_of_hda_oracle, st_problems_oracle,
+                     st_transitions_oracle, step_fields_oracle,
+                     successors_oracle)
 
 FIXTURES = [filled_square(), branching_square(), parallel_square(), a_loop(),
             one_letter_chain(), two_lane_loop(), rectangle_pair(),
@@ -316,6 +320,86 @@ def test_compiling_keys_each_step_once_and_hashes_little(monkeypatch):
     assert transitions == 2 * (4 ** 5 - 3 ** 5)
     assert keys <= len(steps)
     assert hashes <= 2 * transitions
+
+
+def compiled_rows(a):
+    """Each row in order, each step with its key, interfaces and the
+    place it first appeared in (so that shared step objects show), and
+    its targets."""
+    first = {}
+    return [(q, [((s.key(), s.source_conclist(), s.target_conclist(),
+                   first.setdefault(id(s), (q, s.key()))), targets)
+                 for s, targets in row.items()])
+            for q, row in a.successors.items()]
+
+
+def test_compiled_rows_match_the_groups_sorted_afterwards():
+    # the groups made in key order give the rows, the row order and the
+    # shared steps that the groups sorted into key order gave
+    rng = random.Random(4401)  # the sweep of test_runs.py
+    xs = FIXTURES + [ab_c_rectangle(c_first=True),
+                     track_hda(discrete_ipomset("abc")),
+                     track_hda(parse_ipomset("[a+ b+][a- b][b c+][b- c-]"))]
+    xs += [random_hda(rng) for _ in range(200)]
+    xs += [build(random_up(rng)) for _ in range(30)]
+    for d in range(1, 8):
+        xs += [cube(d), skeleton(cube(d), d - 1)]
+    for x in xs:
+        a, ref = st_of_hda(x), compile_oracle(x)
+        assert compiled_rows(a) == compiled_rows(ref)
+        assert (a.states, a.initial, a.final, a.width_bound) == (
+            ref.states, ref.initial, ref.final, ref.width_bound)
+
+
+def test_compiling_hands_the_groups_over_in_key_order(monkeypatch):
+    # so that the one sort in _rows is a single run
+    handed = []
+    rows = stauto._rows
+
+    def recording(states, groups):
+        handed.append([s.key() for s, _, _ in groups])
+        return rows(states, groups)
+
+    monkeypatch.setattr(stauto, "_rows", recording)
+    for x in [cube(4), skeleton(cube(4), 2)] + FIXTURES:
+        # a fresh instance, compiled here
+        st_of_hda(HDA(x.cells.values(), x.start, x.accept, x.alphabet))
+        (keys,) = handed
+        assert keys == sorted(keys) and len(set(keys)) == len(keys)
+        handed.clear()
+
+
+def test_steps_match_the_reference_on_first_and_later_sight():
+    # the sorted marks and unmarked positions are kept per (marks, width)
+    # once a step over them is built; a mark set out of range is not kept
+    # and raises again, naming the same position
+    ipomset._layout.cache_clear()
+    rng = random.Random(1802)
+    cases = []
+    for _ in range(3000):
+        width = rng.randrange(6)
+        conclist = tuple(rng.choice("abc") for _ in range(width))
+        marked = frozenset(rng.sample(range(-2, width + 2),
+                                      rng.randrange(min(width, 3) + 1)))
+        kind = rng.choice(_KINDS + ("bogus", "Starter"))
+        cases.append((kind, conclist, marked))
+    errors = set()
+    for sight in ("first", "later"):
+        for case in cases:
+            try:
+                want = step_fields_oracle(*case)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as got:
+                    Step(*case)
+                assert str(got.value) == str(exc), (sight, case)
+                errors.add(str(exc).split(":")[0])
+                continue
+            s = Step(*case)
+            assert (s.key(), hash(s), s.source_conclist(),
+                    s.target_conclist()) == want, (sight, case)
+            assert (s.kind, s.conclist, s.marked) == case
+    assert errors == {"unknown step kind", "marked position out of range",
+                      "identity steps are exactly the unmarked ones"}
 
 
 # -- member runs the sparse word ----------------------------------------------

@@ -201,6 +201,25 @@ def test_pre_set_merges_only_the_last_step_of_a_prefix(monkeypatch):
     assert len(built) < 1000
 
 
+
+def test_pre_set_hashes_no_step_per_search_state(monkeypatch):
+    # a search state holds its prefix as an interned id, so it hashes no
+    # step: the 4-cube took 342,585 Step hashes when states held words
+    x = cube(4)
+    st_of_hda(x)  # compiled outside the count
+    hashed = []
+    hash_ = Step.__hash__
+
+    def counting(self):
+        hashed.append(self)
+        return hash_(self)
+
+    monkeypatch.setattr(Step, "__hash__", counting)
+    prefixes = pre_set(x)
+    monkeypatch.undo()
+    assert len(prefixes) == 1105
+    assert len(hashed) < 50_000
+
 def test_prefix_quotient_language():
     x = branching_square()
     ab = word_ipomset("ab", target=())

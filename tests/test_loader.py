@@ -1,5 +1,6 @@
 """Field types in the .hda loader, and the reachability helper."""
 import json
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +9,8 @@ from hdalang import HDA, Cell, InvalidHDA, essential_cells, hda_from_dict, hda_t
 from hdalang.cli import main
 from hdalang.hda import reachable
 
-from fixtures import filled_square
+from fixtures import a_loop, branching_square, cube, filled_square, random_hda
+from oracles import hda_from_dict_oracle
 
 
 def square_data():
@@ -134,3 +136,77 @@ def test_loader_accepts_or_rejects_any_cell_list(cells, start, accept):
         hda_from_dict({"cells": cells, "start": start, "accept": accept})
     except InvalidHDA:
         pass
+
+
+# -- the one-pass cell check against the per-field reference ---------------------
+
+class Label(str):
+    """A str subclass, which the loader takes as a string."""
+
+
+BAD_VALUES = (5, None, 1.5, True, "a", "", {"a": 1}, {"v"}, ["a", 1],
+              [["a"]], ("a", None), [None], (3,), b"v")
+
+
+def malformed(seed):
+    """A fixture's data with a few seeded faults: a wrong type at one
+    field, tuples for lists, str subclasses, a missing key, a container
+    of another kind or a cell that is no object.  Built anew for each
+    call, so that both loaders get data no one has read."""
+    rng = random.Random(seed)
+    make = rng.choice((filled_square, branching_square, a_loop,
+                       lambda: cube(2), lambda: random_hda(rng)))
+    data = hda_to_dict(make())
+    cells = data["cells"]
+    for _ in range(rng.randrange(4)):
+        fault = rng.randrange(9)
+        c = rng.choice(cells) if cells else {}
+        key = rng.choice(("id", "events", "d0", "d1"))
+        top = rng.choice(("cells", "start", "accept", "alphabet"))
+        if fault == 0 and isinstance(c, dict) and key in c:
+            c[key] = rng.choice(BAD_VALUES)
+        elif fault == 1 and isinstance(c, dict):
+            for k in ("events", "d0", "d1"):
+                if isinstance(c.get(k), list):
+                    c[k] = tuple(c[k])
+        elif fault == 2 and isinstance(c, dict):
+            if isinstance(c.get("id"), str):
+                c["id"] = Label(c["id"])
+            if isinstance(c.get("events"), list):
+                c["events"] = [Label(l) for l in c["events"]]
+        elif fault == 3 and isinstance(data.get("start"), list):
+            data["start"] = [Label(s) for s in data["start"]]
+        elif fault == 4 and isinstance(c, dict):
+            c.pop(key, None)
+        elif fault == 5:
+            data.pop(top, None)
+        elif fault == 6 and isinstance(data.get(top), list):
+            # an iterator's repr names its address, so only cells get one
+            data[top] = rng.choice((tuple, lambda v: {"x": v}, repr, len)
+                                   + ((iter,) if top == "cells" else
+                                      (frozenset, dict.fromkeys)))(data[top])
+        elif fault == 7 and cells:
+            cells[rng.randrange(len(cells))] = rng.choice(
+                ([], "v", 0, None, [("id", "v")]))
+        elif fault == 8 and isinstance(c, dict) and key != "id":
+            c[key] = rng.choice((list, tuple))(rng.choice(
+                ("v", "e", "a", Label("a"), 1)) for _ in range(2))
+    return data
+
+
+def loaded(load, data):
+    """An HDA as its cells, in order, and its sets, or the problems."""
+    try:
+        x = load(data)
+    except InvalidHDA as exc:
+        return "problems", exc.problems
+    return "hda", list(x.cells.items()), x.start, x.accept, x.alphabet
+
+
+def test_loader_matches_the_per_field_reference():
+    outcomes = set()
+    for seed in range(3000):
+        got = loaded(hda_from_dict, malformed(seed))
+        assert got == loaded(hda_from_dict_oracle, malformed(seed)), seed
+        outcomes.add(got[0] if got[0] == "hda" else got[1][0].code)
+    assert {"hda", "FieldType", "Malformed", "DanglingReference"} <= outcomes
