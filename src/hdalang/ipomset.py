@@ -369,6 +369,20 @@ def _layout(marked: frozenset[int], width: int
     return ordered, tuple([i for i in range(width) if i not in marked])
 
 
+class _Steps(dict):
+    """A per-call step table: ``table[kind, conclist, marks]``, with
+    ``marks`` a tuple of positions, builds the ``Step`` on first sight of
+    the key and returns that one object for every repeat, so a builder
+    makes each distinct step of its call once."""
+
+    __slots__ = ()
+
+    def __missing__(self, key: tuple) -> Step:
+        kind, conclist, marks = key
+        self[key] = step = Step(kind, conclist, frozenset(marks))
+        return step
+
+
 def starter(conclist: Sequence[str], marked: Iterable[int]) -> Step:
     marked = frozenset(marked)
     kind = "starter" if marked else "identity"
@@ -709,13 +723,10 @@ def supersumptions(p: Ipomset, k: int) -> list[Ipomset]:
     for x, y in p.precedence:
         after[x].add(y)
     seen: dict[tuple, Ipomset] = {}
-    made: dict[tuple, Step] = {}  # each step of the call, built once
+    made = _Steps()
 
     def step(kind: str, running: list[int], marked: tuple[int, ...]) -> Step:
-        key = (kind, tuple([p.labels[e] for e in running]), marked)
-        if key not in made:
-            made[key] = Step(kind, key[1], frozenset(marked))
-        return made[key]
+        return made[kind, tuple([p.labels[e] for e in running]), marked]
 
     def placements(running: list[int], new: tuple[int, ...]) -> list[list[int]]:
         lists = [running]

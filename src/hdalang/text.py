@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import re
 
-from .ipomset import (Ipomset, ParseError, Step, StepWord, compose,
-                      sparse_decomposition, starter, terminator)
+from .ipomset import (Ipomset, ParseError, Step, StepWord, _Steps, compose,
+                      sparse_decomposition)
 
 _LABEL_CHARS = frozenset(
     "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_")
@@ -52,7 +52,8 @@ def parse_step_word(text: str) -> StepWord:
     """Parse bracket notation into a step word.
 
     Raises ParseError with a character position on bad syntax, including
-    brackets that mix ``+`` and ``-`` markers.
+    brackets that mix ``+`` and ``-`` markers.  Brackets that spell one
+    step share one ``Step``, built once per call.
     """
     n = len(text)
     pos = n - len(text.lstrip())
@@ -72,16 +73,18 @@ def parse_step_word(text: str) -> StepWord:
                     raise ParseError(pos, f"unexpected character {text[pos]!r}")
         brackets.append(match)
         pos = match.end()
-    steps = []
+    steps, made = [], _Steps()
     for match in brackets:  # after the syntax of every bracket is checked
         inner = match[1]
         if "+" in inner and "-" in inner:
             raise ParseError(match.start(),
                              "a step cannot both start and terminate events")
+        kind = ("terminator" if "-" in inner
+                else "starter" if "+" in inner else "identity")
         items = inner.split()
-        marked = {i for i, item in enumerate(items) if item[-1] in "+-"}
-        make = terminator if "-" in inner else starter
-        steps.append(make([item.rstrip("+-") for item in items], marked))
+        marks = tuple([i for i, item in enumerate(items) if item[-1] in "+-"])
+        steps.append(made[kind, tuple([item.rstrip("+-") for item in items]),
+                          marks])
     return StepWord(steps)
 
 

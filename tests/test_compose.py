@@ -26,7 +26,8 @@ from hdalang import (InterfaceMismatch, InvalidIpomset, Ipomset, Step,
 from hdalang.text import parse_step_word, print_step, print_step_word
 
 from fixtures import a_loop, random_chaining_word, random_ipomset, random_step_word
-from oracles import compose_oracle, glue_oracle, sparse_decomposition_oracle
+from oracles import (compose_oracle, glue_oracle, parse_step_word_oracle,
+                     sparse_decomposition_oracle)
 
 FIELDS = ("labels", "precedence", "event_order", "source", "target")
 
@@ -370,6 +371,18 @@ def test_walks_build_each_step_once_per_call(built_steps):
     del built_steps[:]
     assert len(list(enumerate_ipomsets("ab", 3))) == 1273
     assert built_steps and len(set(built_steps)) == len(built_steps)
+
+
+@pytest.mark.parametrize("text, distinct", [
+    ("[a+][a-]" * 50, 2),
+    ("".join(f"[{x}+][{x}-]" for x in "abcd" * 8), 8),  # the (abcd)^8 count
+])
+def test_parsing_builds_each_step_once_per_call(built_steps, text, distinct):
+    # a loop word repeats a few brackets: their steps are one object each
+    word = parse_step_word(text)
+    assert len(built_steps) <= distinct
+    assert len({id(s) for s in word.steps}) == distinct
+    assert word == parse_step_word_oracle(text)
 
 
 def test_supersumptions_carry_the_key_of_their_walk():
