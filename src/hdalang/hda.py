@@ -508,7 +508,7 @@ def is_deterministic_hda(hda: HDA) -> tuple[bool, str | None]:
         c = hda.cells[y]
         for marks, x in _faces(hda, c, 0):
             key = (x, c.events, marks)
-            if key in seen and seen[key] != y:
+            if key in seen:
                 return False, (
                     f"cells {seen[key]!r} and {y!r} both start events at "
                     f"coordinates {sorted(marks)} from cell {key[0]!r}")
@@ -617,9 +617,8 @@ def product(a: HDA, b: HDA) -> HDA:
     pair_id = {}
     cells = []
     for xa in sorted(a.cells):
-        for xb in sorted(b.cells):
-            if a.cells[xa].events == b.cells[xb].events:
-                pair_id[(xa, xb)] = "(" + _joined((xa, xb), ",") + ")"
+        for xb in b.by_conclist(a.cells[xa].events):
+            pair_id[(xa, xb)] = "(" + _joined((xa, xb), ",") + ")"
     for (xa, xb), cid in pair_id.items():
         ca, cb = a.cells[xa], b.cells[xb]
         lower = tuple(pair_id[(ca.lower[i], cb.lower[i])] for i in range(ca.dim))
@@ -662,6 +661,10 @@ def pump(hda: HDA, qs: Sequence[Ipomset], m: int, r_max: int) -> PumpResult:
     points after position m then repeats a cell, and the segments between
     the repeat can be iterated.  Returns the cut pair and the pumped
     ipomsets for 1..r_max repetitions, each re-checked for membership.
+    Raises NotAccepted when ``qs`` glues to an ipomset the automaton
+    does not accept, and RuntimeError when a pumped ipomset is not
+    accepted or the window holds no pumpable cut pair, which would be a
+    fault of this function, not of its input.
     """
     n = len(qs)
     k = len(hda.cells) + 1
@@ -700,10 +703,10 @@ def pump(hda: HDA, qs: Sequence[Ipomset], m: int, r_max: int) -> PumpResult:
             for t in range(1, r_max + 1):
                 whole_t = glued(list(qs[:i]) + list(qs[i:j]) * t + list(qs[j:]))
                 if not accepts(hda, whole_t):
-                    raise NotAccepted(
+                    raise RuntimeError(
                         f"pumping {t} times broke membership; "
                         "this indicates an invariant violation")
                 members.append(whole_t)
             return PumpResult(i, j, tuple(members))
-    raise NotAccepted("no pumpable cut pair found in the window; "
-                      "this indicates an invariant violation")
+    raise RuntimeError("no pumpable cut pair found in the window; "
+                       "this indicates an invariant violation")

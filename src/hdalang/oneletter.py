@@ -219,14 +219,10 @@ def analyze(hda: HDA) -> UPFunction:
 
     f0 = [1] * len(walk)  # an edge leaves each vertex, or the sink's loop
     tau0 = [set() for _ in walk]
+    # every cell is reachable from v0 and each walk vertex has at most one
+    # edge out, so the lower corner of every cell lies on the walk
     for cid, c in hda.cells.items():
-        corner = _corner(hda, cid)
-        if corner not in index:
-            raise NotUPRepresentable(
-                "NotAccessible",
-                f"cell {cid!r} sits over {corner!r}, which is off the "
-                "vertex walk")
-        n = index[corner]
+        n = index[_corner(hda, cid)]
         f0[n] = max(f0[n], c.dim)
         if cid in hda.accept:
             tau0[n].add(c.dim)

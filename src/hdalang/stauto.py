@@ -30,14 +30,15 @@ class STAutomaton:
     ``states`` maps state ids to conclists, ``width_bound`` records the
     largest conclist the automaton is meant to range over (None leaves it
     unspecified).  The transitions, (source id, step, target id) triples,
-    are checked (``_checked``) and indexed into ``successors``, which is
-    all the automaton keeps of them: ``state -> {step: targets}`` with
-    each state's steps in ``Step.key()`` order and the targets a sorted
-    tuple; every run below steps through it.  ``transitions``, the set of
-    triples, is derived from the index the first time it is read.  The
-    automata the library builds are valid by construction and pass their
-    transitions unchecked, grouped by step, through the private
-    ``_groups`` (see ``_Group``).
+    are checked in one pass that reports every problem (``_checked``)
+    and indexed into ``successors``, which is all the automaton keeps of
+    them: ``state -> {step: targets}`` with each state's steps in
+    ``Step.key()`` order and the targets a sorted tuple; every run below
+    steps through it.  ``transitions``, the set of triples, is derived
+    from the index the first time it is read.  The automata the library
+    builds are valid by construction and pass their transitions
+    unchecked, grouped by step, through the private ``_groups`` (see
+    ``_Group``).
 
     Instances must not be mutated: ``st_of_hda`` caches its automaton on
     the HDA and hands it to every later caller.
@@ -72,9 +73,9 @@ class STAutomaton:
     def _checked(self, transitions: Iterable[tuple[str, Step, str]]
                  ) -> list[_Group]:
         """The triples as one-transition groups, once the states and each
-        triple are checked.  Problems are sorted into their report order
-        only when there are any: transitions by (source, target, step
-        key), each reported once."""
+        triple are checked in one loop.  A faulty triple's problems go
+        into one table keyed by (source, target, step key, side), so each
+        is reported once, and the table is sorted into report order."""
         states = self.states
         problems = []
         for name, ids in (("initial", self.initial), ("final", self.final)):
@@ -86,14 +87,32 @@ class STAutomaton:
             problems.append(Problem(
                 "DanglingReference", (lab,),
                 f"state label {lab!r} is not in the alphabet"))
-        faulty, groups = [], []
+        found: dict[tuple, Problem] = {}
+        groups = []
         for q, s, r in transitions:
-            if (s.kind == "identity" or states.get(q) != s.source_conclist()
-                    or states.get(r) != s.target_conclist()):
-                faulty.append((q, s, r))
+            if q not in states or r not in states:
+                found[q, r, s.key(), 0] = Problem(
+                    "DanglingReference", (q, r),
+                    f"transition endpoint missing: {q!r}->{r!r}")
+            elif s.kind == "identity":
+                found[q, r, s.key(), 0] = Problem(
+                    "IdentityTransition", (q, r),
+                    "identity steps are implicit and may not "
+                    "be stored as transitions")
             else:
+                src, tgt = s.source_conclist(), s.target_conclist()
+                if src != states[q]:
+                    found[q, r, s.key(), 0] = Problem(
+                        "StateLabelMismatch", (q,),
+                        f"step out of {q!r} starts from {src}, "
+                        f"but the state is labelled {states[q]}")
+                if tgt != states[r]:
+                    found[q, r, s.key(), 1] = Problem(
+                        "StateLabelMismatch", (r,),
+                        f"step into {r!r} ends in {tgt}, "
+                        f"but the state is labelled {states[r]}")
                 groups.append((s, (q,), (r,)))
-        problems += _problems(states, faulty)
+        problems += [found[k] for k in sorted(found)]
         if problems:
             raise InvalidSTAutomaton(problems)
         return groups
@@ -115,36 +134,6 @@ def _rows(states: dict[str, tuple[str, ...]], groups: Iterable[_Group]
             if got is not one and r not in got:
                 index[q][s] = tuple(sorted(got + one))
     return index
-
-
-def _problems(states: dict[str, tuple[str, ...]],
-              faulty: Iterable[tuple[str, Step, str]]) -> list[Problem]:
-    """What is wrong with each of the faulty transitions, sorted by
-    (source, target, step key), each problem once."""
-    found: dict[tuple, Problem] = {}
-    for q, s, r in faulty:
-        if q not in states or r not in states:
-            found[q, r, s.key(), 0] = Problem(
-                "DanglingReference", (q, r),
-                f"transition endpoint missing: {q!r}->{r!r}")
-        elif s.kind == "identity":
-            found[q, r, s.key(), 0] = Problem(
-                "IdentityTransition", (q, r),
-                "identity steps are implicit and may not "
-                "be stored as transitions")
-        else:
-            src, tgt = s.source_conclist(), s.target_conclist()
-            if src != states[q]:
-                found[q, r, s.key(), 0] = Problem(
-                    "StateLabelMismatch", (q,),
-                    f"step out of {q!r} starts from {src}, "
-                    f"but the state is labelled {states[q]}")
-            if tgt != states[r]:
-                found[q, r, s.key(), 1] = Problem(
-                    "StateLabelMismatch", (r,),
-                    f"step into {r!r} ends in {tgt}, "
-                    f"but the state is labelled {states[r]}")
-    return [found[k] for k in sorted(found)]
 
 
 # transitions over one step object: (step, sources, targets), transition i

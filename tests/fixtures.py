@@ -426,3 +426,15 @@ def random_up(rng, max_total=6, max_dim=3):
         entries = entries[:s + d]
         return UPFunction(d, s, tuple(e[0] for e in entries),
                           tuple(e[1] for e in entries))
+
+
+def accepted_once():
+    """A stand-in for ``hda.accepts`` that holds on its first call only:
+    in ``pump`` that is the check of the glued input, so every pumped
+    member then fails it."""
+    calls = []
+
+    def accepts(hda, p):
+        calls.append(p)
+        return len(calls) == 1
+    return accepts

@@ -4,14 +4,17 @@ import io
 import json
 import os
 import string
+import subprocess
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import hdalang
 from hdalang import HDA, Cell, cli, dump_hda, load_hda
 from hdalang.cli import main
 
-from fixtures import a_loop
+from fixtures import a_loop, accepted_once
 
 DATA = os.path.join(os.path.dirname(__file__), os.pardir, "data")
 
@@ -340,6 +343,22 @@ def test_internal_failures_exit_three(capsys, monkeypatch):
                       "detail": "ValueError: an invariant does not hold"}
 
 
+@pytest.mark.parametrize("broken, replacement, detail", [
+    ("accepts", accepted_once,
+     "RuntimeError: pumping 1 times broke membership"),
+    ("_segment_relation", lambda: (lambda hda, q: {}),
+     "RuntimeError: no pumpable cut pair found"),
+], ids=["accepts", "segment_relation"])
+def test_pump_invariant_failures_exit_three(capsys, tmp_path, monkeypatch,
+                                            broken, replacement, detail):
+    path = tmp_path / "a_loop.hda"
+    dump_hda(a_loop(), str(path))
+    monkeypatch.setattr(f"hdalang.hda.{broken}", replacement())
+    code, record = run(capsys, "pump", str(path), "[a+][a-]" * 3)
+    assert code == 3 and record["status"] == "internal"
+    assert record["detail"].startswith(detail)
+
+
 @pytest.mark.parametrize("text", ['{"start": [], "accept": []}', "[1, 2]",
                                   '{"cells": [5], "start": [], "accept": []}'])
 def test_automaton_data_of_another_shape_is_bad_input(capsys, tmp_path, text):
@@ -389,6 +408,25 @@ def test_main_builds_its_parser_once(capsys, monkeypatch):
     assert run(capsys, "validate", f"{DATA}/filled_square.hda")[0] == 0
     assert run(capsys, "member", f"{DATA}/filled_square.hda", "[a+][a-]")[0] == 1
     assert built == [1]
+
+
+def run_module(*argv):
+    """Run ``python -m hdalang.cli`` on the copy of the library under test."""
+    src = os.path.dirname(os.path.dirname(os.path.realpath(hdalang.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run([sys.executable, "-m", "hdalang.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_the_module_runs_as_a_program():
+    done = run_module("--format", "json", "validate",
+                      f"{DATA}/filled_square.hda")
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {"detail": "9 cells", "status": "true"}
+    done = run_module("--format", "json", "member", f"{DATA}/no_such.hda",
+                      "[a+][a-]")
+    assert done.returncode == 2, done.stderr
+    assert json.loads(done.stdout)["status"] == "error"
 
 
 def test_numbers_of_too_many_digits_are_bad_input(capsys, tmp_path):

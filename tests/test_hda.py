@@ -15,10 +15,10 @@ from hdalang import (HDA, Cell, DecompositionTooShort, IllegalMove,
                      validate_path, word_ipomset)
 from hdalang.hda import composite_faces, essential_cells
 
-from fixtures import (a_loop, ab_c_rectangle, branching_square, cube,
-                      filled_square, one_letter_chain, parallel_square,
-                      random_hda, random_up, rectangle_pair, track_hda,
-                      two_lane_loop)
+from fixtures import (a_loop, ab_c_rectangle, accepted_once,
+                      branching_square, cube, filled_square, one_letter_chain,
+                      parallel_square, random_hda, random_up, rectangle_pair,
+                      track_hda, two_lane_loop)
 from oracles import (composite_faces_oracle, hda_problems_oracle,
                      up_steps_oracle)
 
@@ -430,6 +430,22 @@ def test_pump_rejects_unaccepted_input():
     qs = [s.as_ipomset() for s in dense_decomposition(word_ipomset("aaaaaaa"))]
     with pytest.raises(NotAccepted):
         pump(x, qs, 0, 2)
+
+
+def test_pump_reports_broken_membership_as_an_internal_failure(monkeypatch):
+    x = a_loop()
+    qs = [s.as_ipomset() for s in dense_decomposition(word_ipomset("aaa"))]
+    monkeypatch.setattr("hdalang.hda.accepts", accepted_once())
+    with pytest.raises(RuntimeError, match="broke membership"):
+        pump(x, qs, 0, 3)
+
+
+def test_pump_reports_a_missing_cut_pair_as_an_internal_failure(monkeypatch):
+    x = a_loop()
+    qs = [s.as_ipomset() for s in dense_decomposition(word_ipomset("aaa"))]
+    monkeypatch.setattr("hdalang.hda._segment_relation", lambda hda, q: {})
+    with pytest.raises(RuntimeError, match="no pumpable cut pair"):
+        pump(x, qs, 0, 3)
 
 
 # -- composite faces and reuse of compiled automata ---------------------------
