@@ -160,7 +160,10 @@ def is_deterministic_language(x: HDA) -> tuple[bool, tuple[Ipomset, Ipomset] | N
     come from paths without repeated cells and need not follow that, so
     both containments are checked.
     Pairs are scanned in descending canonical order and the first failing
-    one is the witness, so the witness is the canonically largest.
+    one is the witness, so the witness is the canonically largest.  Pairs
+    that share their target sets leave equal quotients: a prefix whose
+    bucket of comparable candidates holds no other target set is skipped
+    whole, and each pair of distinct target sets is compared once.
     """
     a = st_of_hda(x)
     co = reachable(x, x.accept, backward=True)
@@ -181,19 +184,21 @@ def is_deterministic_language(x: HDA) -> tuple[bool, tuple[Ipomset, Ipomset] | N
     for item in items:
         if item[1] & co:
             buckets.setdefault(item[2], []).append(item)
-    cache: dict[tuple[frozenset[str], frozenset[str]], bool] = {}
+    target_sets = {inv: {item[1] for item in b} for inv, b in buckets.items()}
+
+    @cache
+    def equal(s: frozenset[str], t: frozenset[str]) -> bool:
+        # the quotients from target sets s and t contain each other
+        return _uncovered(a, s, a, t) is None and _uncovered(a, t, a, s) is None
+
     for p, p_targets, inv, p_prec, p_width in items:
-        for q, q_targets, _, q_prec, q_width in buckets.get(inv, ()):
+        if target_sets.get(inv, set()) <= {p_targets}:
+            continue  # every candidate shares p's target set
+        for q, q_targets, _, q_prec, q_width in buckets[inv]:
             # a subsumed prefix has at least as much precedence and at
             # most the width of the coarser one
-            if q_prec > p_prec or q_width < p_width:
-                continue
-            if p_targets == q_targets or not subsumes(p, q):
-                continue
-            key = (p_targets, q_targets)
-            if key not in cache:
-                cache[key] = (_uncovered(a, p_targets, a, q_targets) is None
-                              and _uncovered(a, q_targets, a, p_targets) is None)
-            if not cache[key]:
+            if (q_prec <= p_prec and q_width >= p_width
+                    and p_targets != q_targets and subsumes(p, q)
+                    and not equal(p_targets, q_targets)):
                 return False, (p, q)
     return True, None

@@ -16,11 +16,12 @@ Every ipomset made from a step word comes from ``compose``, which takes
 the labels and the word with identities dropped and neighbouring steps
 of one kind merged (``_merge_word``), its sparse decomposition.  A
 chaining word always gives a valid interval ipomset, so nothing is
-closed or checked.  The rest is derived on first read: the interfaces
-and the interval form (Fishburn) by replaying the word (``_replay``):
-each event's start and end step, x preceding y exactly when x ends at an
-earlier step than y starts, and the covering pairs of the event order;
-then ``precedence`` and ``event_order``.  Ipomsets built from raw
+closed or checked.  The rest is derived in one step on first read, by
+replaying the word (``_replay``): the interfaces, the interval form
+(Fishburn), which gives each event its start and end step, then
+``precedence`` (x precedes y exactly when x ends at an earlier step than
+y starts) and ``event_order`` (the closure of the neighbours in each
+step's conclist).  Ipomsets built from raw
 relations are closed and validated, and then put in the same interval
 form (``_interval_form``): the distinct predecessor sets form a chain,
 whose levels are the start and end steps and spell the sparse word.
@@ -171,14 +172,14 @@ class Ipomset:
     keeps both closures and reads its interval form and sparse word off
     its predecessor sets (``_interval_form``).  ``compose`` passes the
     labels and the private ``_composed`` (the steps it was given, the
-    merged word); that ipomset is valid by construction, and its
-    interfaces, interval form (``_replay``), ``precedence`` and
-    ``event_order`` are derived on first read and then kept.  The width
-    is read off the word, once.
+    merged word); that ipomset is valid by construction, and the first
+    read of its interfaces, interval form, ``precedence`` or
+    ``event_order`` derives and keeps them all at once (``_replay``).
+    The width is read off the word, once.
     """
 
     __slots__ = ("labels", "precedence", "event_order", "source", "target",
-                 "_cover", "_starts", "_ends", "_steps", "_word", "_key",
+                 "_starts", "_ends", "_steps", "_word", "_key",
                  "_hash", "_width")
 
     def __init__(self, labels: Sequence[str], precedence=(), event_order=(),
@@ -205,23 +206,14 @@ class Ipomset:
         _interval_form(self)
 
     def __getattr__(self, name: str):
-        # reached only while a field of a composed ipomset is underived;
-        # once stored in its slot, it is read like any other attribute
-        if name in ("source", "target", "_starts", "_ends", "_cover"):
-            _replay(self)
-            return object.__getattribute__(self, name)
-        if name == "precedence":  # x ends at an earlier step than y starts
-            starts, ends = self._starts, self._ends
-            n = len(starts)
-            value = frozenset(
-                (x, y) for x in range(n) for y in range(n) if ends[x] < starts[y])
-        elif name == "event_order":
-            value = _closure(len(self.labels), self._cover)
-        else:
+        # reached only while the fields of a composed ipomset are
+        # underived; ``_replay`` stores them all in their slots at once
+        if name not in ("source", "target", "precedence", "event_order",
+                        "_starts", "_ends"):
             raise AttributeError(
                 f"{type(self).__name__!r} object has no attribute {name!r}")
-        setattr(self, name, value)
-        return value
+        _replay(self)
+        return object.__getattribute__(self, name)
 
     # -- basics ------------------------------------------------------------
 
@@ -232,7 +224,9 @@ class Ipomset:
         return range(len(self.labels))
 
     def concurrent(self, x: int, y: int) -> bool:
-        return x != y and (x, y) not in self.precedence and (y, x) not in self.precedence
+        # neither ends at an earlier step than the other starts
+        starts, ends = self._starts, self._ends
+        return x != y and ends[x] >= starts[y] and ends[y] >= starts[x]
 
     def size(self) -> float:
         """Number of events minus half the interface events."""
@@ -455,8 +449,8 @@ def compose(word: StepWord | Sequence[Step]) -> Ipomset:
     InterfaceMismatch with the step's index as ``position`` (a StepWord
     chains already).  The result carries the merged word as its sparse
     decomposition and keeps the steps given, from which ``_replay``
-    derives its interfaces and interval form on first read; nothing is
-    closed or checked, since a chaining word always gives a valid
+    derives its interfaces, interval form and relations on first read;
+    nothing is checked, since a chaining word always gives a valid
     interval ipomset.
     """
     chained = isinstance(word, StepWord)
@@ -480,13 +474,13 @@ def compose(word: StepWord | Sequence[Step]) -> Ipomset:
 
 
 def _replay(p: Ipomset) -> None:
-    """Set the interfaces and interval form of a composed ipomset by
-    walking the steps it was composed from, numbering events as
-    ``compose`` does.  Each event gets the index of the step that starts
-    it (0 for the first step's events) and of the step that terminates it
-    (the word's length for target events), so x precedes y exactly when x
-    ends at an earlier step than y starts; the event order is generated
-    by the neighbours in the steps' conclists (``_cover``)."""
+    """Set the interfaces, interval form and both relations of a composed
+    ipomset by walking the steps it was composed from, numbering events
+    as ``compose`` does.  Each event gets the index of the step that
+    starts it (0 for the first step's events) and of the step that
+    terminates it (the word's length for target events), so x precedes y
+    exactly when x ends at an earlier step than y starts; the event order
+    is the closure of the neighbours in the steps' conclists."""
     steps = p._steps
     first, n = steps[0], len(p.labels)
     active = list(range(len(first.conclist)))  # the running conclist, as events
@@ -512,7 +506,10 @@ def _replay(p: Ipomset) -> None:
                 ends[active[i]] = pos
             active = [e for i, e in enumerate(active) if i not in step.marked]
     p.target = frozenset(active)
-    p._starts, p._ends, p._cover = tuple(starts), tuple(ends), cover
+    p._starts, p._ends = tuple(starts), tuple(ends)
+    p.precedence = frozenset(
+        (x, y) for x in range(n) for y in range(n) if ends[x] < starts[y])
+    p.event_order = _closure(n, cover)
 
 
 def _merge_word(steps: Sequence[Step]) -> tuple[Step, ...]:

@@ -3,6 +3,7 @@ in/out-node word NFA, the per-pair quotient HDAs, the skeleton
 complements and the two face-based walks kept in oracles.py: same
 verdicts, same printed witnesses."""
 import random
+import time
 
 import pytest
 
@@ -11,7 +12,7 @@ from hdalang import (HDA, Cell, Ipomset, Step, accepts_word, analyze, build,
                      complement_words, count_sparse_accepting_paths, decide,
                      discrete_ipomset, empty, enumerate_wang, export_st,
                      equivalent, identity_step, include,
-                     is_deterministic_language, member, parse_ipomset,
+                     is_deterministic_hda, is_deterministic_language, member, parse_ipomset,
                      pre_set, prefix_quotient, skeleton, st_of_hda, stauto,
                      word_ipomset)
 from hdalang.hda import _segment_relation
@@ -122,6 +123,27 @@ def test_determinism_against_per_pair_hdas():
         assert answer == shown(is_deterministic_language_oracle(x))
         verdicts.add(answer[0])
     assert verdicts == {True, False}
+
+
+def test_determinism_of_self_unions_against_per_pair_hdas():
+    # a self-union has the language of its part and two start cells, so
+    # unless it accepts nothing, it is not structurally deterministic
+    unions = [hda_union(x, x) for x in ONE_LETTER if len(x.cells) <= 12]
+    assert len(unions) >= 20
+    for x in unions:
+        assert is_deterministic_hda(x)[0] == (not x.accept)
+        answer = shown(is_deterministic_language(x))
+        assert answer == shown(is_deterministic_language_oracle(x))
+
+
+def test_determinism_of_a_twenty_cell_one_letter_automaton():
+    # 20 cells: the quadratic scan over its prefixes took about 20 s when
+    # every pair whose targets match was dropped one at a time
+    x = ONE_LETTER[11]
+    assert len(x.cells) == 20
+    start = time.perf_counter()
+    assert is_deterministic_language(x) == (True, None)
+    assert time.perf_counter() - start < 15
 
 
 def test_bounded_complements_against_the_skeleton():
