@@ -15,16 +15,16 @@ key.
 Every ipomset made from a step word comes from ``compose``, which takes
 the labels and the word with identities dropped and neighbouring steps
 of one kind merged (``_merge_word``), its sparse decomposition.  A
-chaining word always gives a valid interval ipomset, so nothing is
-closed or checked.  The rest is derived in one step on first read, by
-replaying the word (``_replay``): the interfaces, the interval form
-(Fishburn), which gives each event its start and end step, then
+chaining word always gives a valid interval ipomset, so ``compose``
+closes and checks nothing.  The rest is derived in one step on first
+read, by replaying the word (``_replay``): the interfaces, the interval
+form (Fishburn), which gives each event its start and end step, then
 ``precedence`` (x precedes y exactly when x ends at an earlier step than
 y starts) and ``event_order`` (the closure of the neighbours in each
-step's conclist).  Ipomsets built from raw
-relations are closed and validated, and then put in the same interval
-form (``_interval_form``): the distinct predecessor sets form a chain,
-whose levels are the start and end steps and spell the sparse word.
+step's conclist).  Ipomsets built from raw relations are closed and
+validated, and then put in the same interval form (``_interval_form``):
+the distinct predecessor sets form a chain, whose levels are the start
+and end steps and spell the sparse word.
 Keys, widths, interface conclists and printing read the word; ``glue`` composes
 the operands' words, dense words split its steps, and ``supersumptions``
 composes alternating words over p's own events.  ``_letters`` generates
