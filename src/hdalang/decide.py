@@ -18,9 +18,10 @@ from functools import cache
 from . import stauto
 from .hda import HDA, _walk, product, reachable
 from .ipomset import (Ipomset, Step, WidthExceeded, _merge_word,
-                      compose, identity_step, subsumes, supersumptions)
-from .stauto import (_uncovered, emptiness, inclusion, match_automaton,
-                     st_of_hda)
+                      compose, identity_step, sparse_decomposition, subsumes,
+                      supersumptions)
+from .stauto import (_uncovered, _width_bound, emptiness, inclusion,
+                     match_automaton, st_of_hda)
 
 
 def member(x: HDA, p: Ipomset) -> bool:
@@ -58,7 +59,7 @@ def complement_member(x: HDA, k: int, p: Ipomset) -> tuple[bool, Ipomset | None]
     outside the language, so the test looks for a supersumption of p that
     x does not accept; the witness is the first such in canonical order.
     """
-    if p.width() > k:
+    if p.width() > _width_bound(k):
         raise WidthExceeded(
             f"width {p.width()} of the queried ipomset exceeds the bound {k}")
     a = st_of_hda(x)
@@ -169,12 +170,22 @@ def is_deterministic_language(x: HDA) -> tuple[bool, tuple[Ipomset, Ipomset] | N
     co = reachable(x, x.accept, backward=True)
 
     def invariant(p: Ipomset) -> tuple:
-        return (tuple(sorted(p.labels)),
-                tuple(sorted(p.labels[i] for i in p.source)),
-                tuple(sorted(p.labels[i] for i in p.target)))
+        return (tuple(sorted(p.labels)), tuple(sorted(p.source_conclist())),
+                tuple(sorted(p.target_conclist())))
+
+    def order(p: Ipomset) -> int:
+        # len(p.precedence) off the sparse word, without replaying p: each
+        # event a starter starts follows every event ended at an earlier step
+        count = ended = 0
+        for s in sparse_decomposition(p).steps:
+            if s.kind == "starter":
+                count += len(s.marked) * ended
+            else:
+                ended += len(s.marked)
+        return count
 
     # each prefix with its targets, invariant, precedence count and width
-    items = sorted(((p, targets, invariant(p), len(p.precedence), p.width())
+    items = sorted(((p, targets, invariant(p), order(p), p.width())
                     for p, targets in pre_set(x).items()),
                    key=lambda item: item[0].key(), reverse=True)
     # comparable prefixes share labels and interfaces, so only pairs from

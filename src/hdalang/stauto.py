@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import deque
+from collections.abc import Mapping
 from typing import Iterable, Iterator, Sequence
 
 from .ipomset import (Invalid, Ipomset, Problem, Step, StepWord, compose,
@@ -38,7 +39,8 @@ class STAutomaton:
     from the index the first time it is read.  The automata the library
     builds are valid by construction and pass their transitions
     unchecked, grouped by step, through the private ``_groups`` (see
-    ``_Group``).
+    ``_Group``); the width-k universe (``match_automaton``) passes none
+    and builds each row when it is first read (``_Universe``).
 
     Instances must not be mutated: ``st_of_hda`` caches its automaton on
     the HDA and hands it to every later caller.
@@ -305,8 +307,11 @@ def _uncovered(a: STAutomaton, a_start: Iterable[str], b: STAutomaton,
     """A shortest coherent word that a accepts from ``a_start`` and b
     rejects from ``b_start``, or None: the word of the first pair of
     ``_pairs`` from the sorted ``a_start`` with a final a-state and no
-    final b-state.  Only this word is spelled with its identities."""
-    for q, bset, word in _pairs(a, sorted(a_start), b, b_start):
+    final b-state.  Only this word is spelled with its identities.  A
+    search of an automaton against itself skips the pairs whose set is
+    just their a-state (``_pairs``' ``skip_own``)."""
+    for q, bset, word in _pairs(a, sorted(a_start), b, b_start,
+                                skip_own=a is b):
         if q in a.final and not bset & b.final:
             return _spelled(word[0].source_conclist() if word
                             else a.states[q], word)
@@ -314,7 +319,8 @@ def _uncovered(a: STAutomaton, a_start: Iterable[str], b: STAutomaton,
 
 
 def _pairs(a: STAutomaton, a_start: Iterable[str], b: STAutomaton,
-           b_start: Iterable[str], sets: dict | None = None
+           b_start: Iterable[str], sets: dict | None = None,
+           skip_own: bool = False
            ) -> Iterator[tuple[str, frozenset[str], tuple[Step, ...]]]:
     """Breadth-first over pairs of an a-state and the set of b-states the
     same word reaches, from ``a_start`` in the order given: each pair
@@ -328,13 +334,20 @@ def _pairs(a: STAutomaton, a_start: Iterable[str], b: STAutomaton,
     stepped through that state's row: ``sets`` also maps each target
     tuple read there to its set.  Larger sets go through ``_post``; the
     empty set steps to itself.  A caller that reads ``sets`` after the
-    search runs the generator to its end."""
+    search runs the generator to its end.
+
+    With ``skip_own``, for a search of an automaton against itself, a
+    pair (q, {q}) is neither yielded nor queued: every pair reachable
+    from it holds its a-state in its set, so none is uncovered, and no
+    other pair is first reached later than without the skip."""
     sets = {} if sets is None else sets
     queue, seen = deque(), set()
     for q in a_start:
         bset = _starting(b, b_start, a.states[q])
         item = (q, sets.setdefault(bset, bset), ())
         seen.add(item[:2])
+        if skip_own and len(bset) == 1 and q in bset:
+            continue
         queue.append(item)
         yield item
     while queue:
@@ -354,6 +367,8 @@ def _pairs(a: STAutomaton, a_start: Iterable[str], b: STAutomaton,
             for r in targets:
                 if (r, bnext) not in seen:
                     seen.add((r, bnext))
+                    if skip_own and len(bnext) == 1 and r in bnext:
+                        continue
                     item = (r, bnext, word + (step,))
                     queue.append(item)
                     yield item
@@ -368,18 +383,59 @@ def _conclist_id(conclist: Sequence[str]) -> str:
     return "(" + _joined(conclist, " ") + ")"
 
 
+def _width_bound(k: int) -> int:
+    """k, once it is checked to be a nonnegative int (not a bool)."""
+    if isinstance(k, bool) or not isinstance(k, int):
+        raise TypeError(f"width bound must be an int, not {type(k).__name__}")
+    if k < 0:
+        raise ValueError(f"width bound must be non-negative, got {k}")
+    return k
+
+
 def match_automaton(alphabet: Iterable[str], k: int) -> STAutomaton:
     """Recognises every ipomset of width at most k over the alphabet: one
-    state per conclist, every state initial and final."""
+    state per conclist, every state initial and final.  The states are
+    made at once, each row only when it is first read (``_Universe``)."""
+    k = _width_bound(k)
     letters = sorted(alphabet)
     ids = {cl: _conclist_id(cl) for n in range(k + 1)
            for cl in itertools.product(letters, repeat=n)}
-    groups = [(s, (sid,), (ids[s.target_conclist()],))
-              for cl, sid in ids.items()
-              for s in _letters(cl, letters, k - len(cl))]
     states = {sid: cl for cl, sid in ids.items()}
-    return STAutomaton(letters, states, (), states.keys(), states.keys(),
-                       width_bound=k, _groups=groups)
+    m = STAutomaton(letters, states, (), states.keys(), states.keys(),
+                    width_bound=k, _groups=())
+    m.successors = _Universe(m.states, ids, letters, k)
+    return m
+
+
+class _Universe(Mapping):
+    """The successor index of ``match_automaton``: a row holds every
+    letter of ``_letters`` from the state's conclist, in ``Step.key()``
+    order, and is built the first time it is read.  Iterating yields
+    every state in order, so a caller that reads all rows builds them
+    all, as the eager index did."""
+
+    __slots__ = ("_states", "_ids", "_letters", "_k", "_built")
+
+    def __init__(self, states: dict[str, tuple[str, ...]],
+                 ids: dict[tuple[str, ...], str], letters: list[str], k: int):
+        self._states, self._ids, self._letters, self._k = states, ids, letters, k
+        self._built: dict[str, dict[Step, tuple[str, ...]]] = {}
+
+    def __getitem__(self, q: str) -> dict[Step, tuple[str, ...]]:
+        row = self._built.get(q)
+        if row is None:
+            cl, ids = self._states[q], self._ids
+            row = self._built[q] = {
+                s: (ids[s.target_conclist()],) for s in sorted(
+                    _letters(cl, self._letters, self._k - len(cl)),
+                    key=Step.key)}
+        return row
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._states)
+
+    def __len__(self) -> int:
+        return len(self._states)
 
 
 def complement_words(a: STAutomaton, width: int | None = None) -> STAutomaton:

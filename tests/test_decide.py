@@ -4,9 +4,10 @@ import random
 import pytest
 
 from hdalang import (HDA, Cell, Step, WidthExceeded, accepts,
-                     complement_empty, complement_member, discrete_ipomset,
-                     empty, equivalent, identity_ipomset, include, intersect,
-                     is_deterministic_language, language_ipomsets, member,
+                     complement_empty, complement_member, complement_words,
+                     discrete_ipomset, empty, equivalent, identity_ipomset,
+                     include, intersect, is_deterministic_language,
+                     language_ipomsets, match_automaton, member,
                      parse_ipomset, pre_set, prefix_quotient, st_of_hda,
                      subsumes, supersumptions, word_ipomset)
 from hdalang.text import print_ipomset
@@ -162,6 +163,24 @@ def test_complement_empty_true_case():
     x = HDA(cells, ["v", "e"], ["v", "e"])
     nonempty, witness = complement_empty(x, 1)
     assert nonempty is True or witness is not None
+
+
+@pytest.mark.parametrize("k, error, message", [
+    (-1, ValueError, "must be non-negative, got -1"),
+    (True, TypeError, "must be an int, not bool"),
+    (2.0, TypeError, "must be an int, not float"),
+    ("2", TypeError, "must be an int, not str")])
+def test_width_bounds_are_checked(k, error, message):
+    x = filled_square()
+    p = word_ipomset("a")
+    calls = [lambda: match_automaton(x.alphabet, k),
+             lambda: complement_words(st_of_hda(x), k),
+             lambda: complement_empty(x, k),
+             lambda: complement_member(x, k, p)]
+    for call in calls:
+        with pytest.raises(error, match=message) as caught:
+            call()
+        assert not isinstance(caught.value, WidthExceeded)
 
 
 # -- prefixes ------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 in/out-node word NFA, the per-pair quotient HDAs, the skeleton
 complements and the two face-based walks kept in oracles.py: same
 verdicts, same printed witnesses."""
+import copy
 import random
 import time
 
@@ -15,6 +16,7 @@ from hdalang import (HDA, Cell, Ipomset, Step, accepts_word, analyze, build,
                      is_deterministic_hda, is_deterministic_language, member,
                      parse_ipomset, pre_set, prefix_quotient, skeleton,
                      st_of_hda, stauto, word_ipomset)
+from hdalang import ipomset
 from hdalang.hda import _segment_relation
 from hdalang.text import print_ipomset
 
@@ -506,3 +508,97 @@ def test_equal_sets_of_one_search_are_one_object():
         assert len({id(s) for s in starts}) == len(set(starts)) < len(starts)
         sets = [bset for _, bset, _ in got]
         assert len({id(s) for s in sets}) == len(set(sets)) < len(sets)
+
+
+# -- only what can change the answer ---------------------------------------------
+
+@pytest.fixture
+def letters(monkeypatch):
+    """The conclists whose universe rows ``stauto._letters`` builds."""
+    built = []
+    letters_ = stauto._letters
+
+    def counting(conclist, alphabet, room):
+        built.append(conclist)
+        return letters_(conclist, alphabet, room)
+
+    monkeypatch.setattr(stauto, "_letters", counting)
+    return built
+
+
+def test_complement_emptiness_builds_no_universe_row_for_a_first_witness(
+        letters):
+    # every cube rejects the empty ipomset, the universe's first pair
+    x = cube(4)
+    answer = shown(complement_empty(x, 4))
+    assert letters == []
+    assert answer == shown(complement_empty_oracle(x, 4)) == (False, "[]")
+
+
+def test_complement_emptiness_of_the_five_cube_at_its_dimension():
+    x = cube(5)
+    st_of_hda(x)
+    start = time.perf_counter()
+    answer = shown(complement_empty(x, 5))
+    assert time.perf_counter() - start < 0.1
+    # complement_empty_oracle gives this witness too, in about 9 s
+    assert answer == (False, "[]")
+
+
+def test_the_universe_builds_the_rows_a_search_reads(letters):
+    # a one-letter automaton that accepts every ipomset of width at most
+    # 1 reads every row of that universe, and builds each once
+    x = HDA([Cell("v", (), (), ()), Cell("e", ("a",), ("v",), ("v",))],
+            ["v", "e"], ["v", "e"])
+    assert complement_empty(x, 1) == (True, None)
+    assert sorted(letters) == [(), ("a",)]
+
+
+def test_self_inclusion_reads_no_row(monkeypatch):
+    x = cube(6)
+    a = st_of_hda(x)
+    reads = []
+
+    class Counting(dict):
+        def __getitem__(self, q):
+            reads.append(q)
+            return dict.__getitem__(self, q)
+
+    monkeypatch.setattr(a, "successors", Counting(a.successors))
+    assert include(x, x) == (True, None)
+    assert reads == []
+
+
+def test_quotient_searches_skip_only_pairs_that_cannot_be_uncovered():
+    # the same search against an equal automaton that is another object
+    # skips nothing; verdicts and witnesses agree, and some pairs are skipped
+    kept = every = 0
+    for x in PREFIX_SWEEP:
+        a = st_of_hda(x)
+        other = copy.copy(a)
+        starts = sorted(set(pre_set(x).values()), key=sorted)
+        for s in starts:
+            for t in starts:
+                if s != t:
+                    assert (stauto._uncovered(a, s, a, t)
+                            == stauto._uncovered(a, s, other, t))
+                    kept += len(list(stauto._pairs(a, sorted(s), a, t,
+                                                   skip_own=True)))
+                    every += len(list(stauto._pairs(a, sorted(s), a, t)))
+    assert 0 < kept < every
+
+
+def test_determinism_of_a_twenty_cell_one_letter_automaton_replays_nothing(
+        monkeypatch):
+    # bucket, order and width filters read the sparse words alone; #11
+    # has no pair that reaches subsumes
+    replays = []
+    replay = ipomset._replay
+
+    def counting(p):
+        replays.append(p)
+        replay(p)
+
+    monkeypatch.setattr(ipomset, "_replay", counting)
+    assert is_deterministic_language(ONE_LETTER[11]) == (True, None)
+    assert replays == []
