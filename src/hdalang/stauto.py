@@ -412,7 +412,7 @@ class _Universe(Mapping):
     letter of ``_letters`` from the state's conclist, in ``Step.key()``
     order, and is built the first time it is read.  Iterating yields
     every state in order, so a caller that reads all rows builds them
-    all, as the eager index did."""
+    all."""
 
     __slots__ = ("_states", "_ids", "_letters", "_k", "_built")
 

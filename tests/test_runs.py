@@ -12,11 +12,10 @@ from hdalang import (HDA, Cell, Ipomset, Step, accepts_word, analyze, build,
                      coherent_word, complement_empty, complement_member,
                      complement_words, count_sparse_accepting_paths, decide,
                      discrete_ipomset, empty, enumerate_wang, export_st,
-                     equivalent, identity_step, include,
+                     equivalent, identity_step, include, ipomset,
                      is_deterministic_hda, is_deterministic_language, member,
                      parse_ipomset, pre_set, prefix_quotient, skeleton,
                      st_of_hda, stauto, word_ipomset)
-from hdalang import ipomset
 from hdalang.hda import _segment_relation
 from hdalang.text import print_ipomset
 
