@@ -18,10 +18,10 @@ from functools import cache
 from . import stauto
 from .hda import HDA, _walk, product, reachable
 from .ipomset import (Ipomset, Step, WidthExceeded, _merge_word,
-                      compose, identity_step, sparse_decomposition, subsumes,
-                      supersumptions)
-from .stauto import (_uncovered, _width_bound, emptiness, inclusion,
-                     match_automaton, st_of_hda)
+                      _width_bound, compose, identity_step,
+                      sparse_decomposition, subsumes, supersumptions)
+from .stauto import (_uncovered, emptiness, inclusion, match_automaton,
+                     st_of_hda)
 
 
 def member(x: HDA, p: Ipomset) -> bool:

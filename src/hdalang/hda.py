@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .ipomset import (Invalid, Ipomset, Problem, Step, StepWord, compose,
                       identity_step, sparse_decomposition, starter,
-                      terminator, _merge_word)
+                      terminator, _merge_word, _width_bound)
 
 
 class InvalidHDA(Invalid):
@@ -276,8 +276,10 @@ def _identity_quads(d: int) -> tuple[tuple[int, int, int, int], ...]:
 
 def skeleton(hda: HDA, k: int) -> HDA:
     """The sub-HDA of cells of dimension at most k; hda itself when it has
-    no higher cell, so that its compiled automaton is reused."""
-    if k >= hda.dim():
+    no higher cell, so that its compiled automaton is reused.  A k that
+    is not an ``int``, or is a ``bool``, raises TypeError; a negative k
+    raises ValueError."""
+    if _width_bound(k) >= hda.dim():
         return hda
     keep = {cid: c for cid, c in hda.cells.items() if c.dim <= k}
     return HDA(keep.values(), hda.start & set(keep), hda.accept & set(keep),

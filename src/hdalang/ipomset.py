@@ -402,12 +402,13 @@ class StepWord:
         steps = tuple(steps)
         if not steps:
             raise ValueError("a step word has at least one step")
-        for i in range(len(steps) - 1):
-            if steps[i].target_conclist() != steps[i + 1].source_conclist():
-                raise InterfaceMismatch(
-                    f"step {i} ends in {steps[i].target_conclist()} but step "
-                    f"{i + 1} starts from {steps[i + 1].source_conclist()}",
-                    position=i)
+        ends = [s._target for s in steps[:-1]]
+        if ends != [s._source for s in steps[1:]]:
+            i = next(i for i, end in enumerate(ends)
+                     if end != steps[i + 1]._source)
+            raise InterfaceMismatch(
+                f"step {i} ends in {ends[i]} but step "
+                f"{i + 1} starts from {steps[i + 1]._source}", position=i)
         self.steps = steps
 
     def __len__(self) -> int:
@@ -427,12 +428,10 @@ class StepWord:
     def is_sparse(self) -> bool:
         """Starters and terminators strictly alternate; identities occur
         only as the single step of an identity word."""
-        if len(self.steps) == 1:
-            return True
         kinds = [s.kind for s in self.steps]
-        if "identity" in kinds:
-            return False
-        return all(a != b for a, b in zip(kinds, kinds[1:]))
+        return len(kinds) == 1 or ("identity" not in kinds
+                                   and kinds[0] != kinds[1]
+                                   and kinds[2:] == kinds[:-2])
 
     def __repr__(self) -> str:
         from .text import print_step
@@ -466,10 +465,9 @@ def compose(word: StepWord | Sequence[Step]) -> Ipomset:
                 f"cannot glue: target conclist {have} != "
                 f"source conclist {step.source_conclist()}", position=pos)
         if step.kind == "starter":
-            labels += [step.conclist[i] for i in step.key()[2]]
-    merged = _merge_word(steps)
-    if not (chained and merged == steps):  # a sparse StepWord is its own
-        word = StepWord(merged)
+            labels += [step.conclist[i] for i in step._key[2]]
+    if not (chained and word.is_sparse()):  # a sparse StepWord is its own
+        word = StepWord(_merge_word(steps))
     return Ipomset(labels, _composed=(steps, word))
 
 
@@ -703,6 +701,15 @@ def in_down_closure(p: Ipomset, generators: Iterable[Ipomset]) -> bool:
     return any(subsumes(p, q) for q in generators)
 
 
+def _width_bound(k: int) -> int:
+    """k, once it is checked to be a nonnegative int (not a bool)."""
+    if isinstance(k, bool) or not isinstance(k, int):
+        raise TypeError(f"bound must be an int, not {type(k).__name__}")
+    if k < 0:
+        raise ValueError(f"bound must be non-negative, got {k}")
+    return k
+
+
 def supersumptions(p: Ipomset, k: int) -> list[Ipomset]:
     """All ipomsets of width <= k that subsume p, up to isomorphism,
     sorted by key.
@@ -713,7 +720,7 @@ def supersumptions(p: Ipomset, k: int) -> list[Ipomset]:
     events that precede every unstarted one in p, so the identity on
     events witnesses the subsumption.  Exponential; for desk-scale events.
     """
-    if p.width() > k:
+    if p.width() > _width_bound(k):
         raise WidthExceeded(f"width {p.width()} exceeds bound {k}")
     forced = {(x, y) for (x, y) in p.event_order if p.concurrent(x, y)}
     after = [set() for _ in p.labels]  # the events each one precedes
@@ -816,8 +823,13 @@ def enumerate_ipomsets(alphabet: Sequence[str], max_events: int,
 
     Walks sparse step words; since sparse decompositions are unique this
     enumeration has no duplicates and needs no canonical-form dedup.
+    Each bound must be a non-negative ``int`` (not a ``bool``), or the
+    call raises ``TypeError`` or ``ValueError``; as this is a generator,
+    a bad bound raises on the first iteration.
     """
-    width = max_events if max_width is None else min(max_width, max_events)
+    width = _width_bound(max_events)
+    if max_width is not None:
+        width = min(_width_bound(max_width), width)
     sources = [c for n in range(width + 1)
                for c in itertools.product(alphabet, repeat=n)]
     rows: dict[tuple[str, ...], list[Step]] = {}  # each built once

@@ -17,7 +17,8 @@ from collections.abc import Mapping
 from typing import Iterable, Iterator, Sequence
 
 from .ipomset import (Invalid, Ipomset, Problem, Step, StepWord, compose,
-                      identity_step, sparse_decomposition, _letters)
+                      identity_step, sparse_decomposition, _letters,
+                      _width_bound)
 from .hda import HDA, _face_columns, _face_table, _joined
 
 
@@ -232,10 +233,16 @@ def _starting(a: STAutomaton, states: Iterable[str],
 
 def _run(a: STAutomaton, states: frozenset[str], steps: Iterable[Step]
          ) -> frozenset[str]:
-    """The states ``steps`` lead to from ``states``, identities skipped."""
+    """The states ``steps`` lead to from ``states``, identities skipped.
+    A set of one state steps through that state's row, as in ``_pairs``;
+    only larger sets go through ``_post``."""
     for step in steps:
         if step.kind != "identity":
-            states = _post(a, states, step)
+            if len(states) == 1:
+                [q] = states
+                states = frozenset(a.successors[q].get(step, ()))
+            else:
+                states = _post(a, states, step)
             if not states:
                 break
     return states
@@ -381,15 +388,6 @@ def _conclist_id(conclist: Sequence[str]) -> str:
     """The labels joined by spaces (``hda._joined``), so that no two
     conclists share an id."""
     return "(" + _joined(conclist, " ") + ")"
-
-
-def _width_bound(k: int) -> int:
-    """k, once it is checked to be a nonnegative int (not a bool)."""
-    if isinstance(k, bool) or not isinstance(k, int):
-        raise TypeError(f"width bound must be an int, not {type(k).__name__}")
-    if k < 0:
-        raise ValueError(f"width bound must be non-negative, got {k}")
-    return k
 
 
 def match_automaton(alphabet: Iterable[str], k: int) -> STAutomaton:

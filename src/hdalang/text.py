@@ -51,15 +51,16 @@ def print_ipomset(p: Ipomset) -> str:
 def parse_step_word(text: str) -> StepWord:
     """Parse bracket notation into a step word.
 
-    Raises ParseError with a character position on bad syntax, including
-    brackets that mix ``+`` and ``-`` markers.  Brackets that spell one
-    step share one ``Step``, built once per call.
+    Raises ParseError with a character position on bad syntax, where it
+    is met, and then on the first bracket that mixes ``+`` and ``-``
+    markers.  Each bracket is matched and read in one pass; brackets that
+    spell one step share one ``Step``, built once per call.
     """
     n = len(text)
     pos = n - len(text.lstrip())
     if pos == n:
         raise ParseError(pos, "expected a bracket, got end of input")
-    brackets = []
+    steps, made, mixed = [], _Steps(), None
     while pos < n:
         match = _BRACKET.match(text, pos)
         if match is None:  # step item by item to the character at fault
@@ -71,20 +72,21 @@ def parse_step_word(text: str) -> StepWord:
                     raise ParseError(pos, "unterminated bracket")
                 if text[pos] != " ":
                     raise ParseError(pos, f"unexpected character {text[pos]!r}")
-        brackets.append(match)
-        pos = match.end()
-    steps, made = [], _Steps()
-    for match in brackets:  # after the syntax of every bracket is checked
-        inner = match[1]
-        if "+" in inner and "-" in inner:
-            raise ParseError(match.start(),
-                             "a step cannot both start and terminate events")
-        kind = ("terminator" if "-" in inner
-                else "starter" if "+" in inner else "identity")
-        items = inner.split()
-        marks = tuple([i for i, item in enumerate(items) if item[-1] in "+-"])
-        steps.append(made[kind, tuple([item.rstrip("+-") for item in items]),
-                          marks])
+        inner, pos = match[1], match.end()
+        mark = "-" if "-" in inner else "+"
+        if mark == "-" and "+" in inner:  # raised once every bracket is read
+            mixed = match.start() if mixed is None else mixed
+        elif mixed is None:
+            marks = []  # a loop, not a comprehension: no call per bracket
+            for i, item in enumerate(inner.split()):
+                if item[-1] == mark:
+                    marks.append(i)
+            kind = ("terminator" if mark == "-"
+                    else "starter" if marks else "identity")
+            steps.append(made[kind, tuple(inner.replace(mark, "").split()),
+                              tuple(marks)])
+    if mixed is not None:
+        raise ParseError(mixed, "a step cannot both start and terminate events")
     return StepWord(steps)
 
 

@@ -40,7 +40,10 @@ through a helper of its own, a step sorts its marks and filters its
 conclist each time it is built, and the compiled groups are made in
 face-table order and sorted into key order afterwards, as the library
 did before it checked a cell in one pass, looked a step's layout up by
-(marks, width) and made the groups in key order.
+(marks, width) and made the groups in key order.  A step word's chaining
+is checked pair by pair on interfaces worked out from each step's kind,
+conclist and marks, as the library did before it compared the lists of
+its steps' stored interfaces.
 """
 import itertools
 from collections import deque
@@ -308,6 +311,30 @@ def parse_step_word_oracle(text):
         else:
             steps.append(terminator(conclist, marked))
     return StepWord(steps)
+
+
+def step_word_oracle(steps):
+    """``StepWord(steps).steps``: the steps as a tuple, or
+    InterfaceMismatch at the first step whose target conclist is not the
+    source conclist of the step after it.  Each interface is the conclist
+    without the marked events, on the side the step's kind names."""
+    def without_marked(step):
+        return tuple(label for i, label in enumerate(step.conclist)
+                     if i not in step.marked)
+
+    steps = tuple(steps)
+    if not steps:
+        raise ValueError("a step word has at least one step")
+    for i in range(len(steps) - 1):
+        left, right = steps[i], steps[i + 1]
+        end = without_marked(left) if left.kind == "terminator" else left.conclist
+        start = (without_marked(right) if right.kind == "starter"
+                 else right.conclist)
+        if end != start:
+            raise InterfaceMismatch(
+                f"step {i} ends in {end} but step {i + 1} starts from {start}",
+                position=i)
+    return steps
 
 
 def up_steps_oracle(hda):

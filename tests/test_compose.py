@@ -27,7 +27,7 @@ from hdalang.text import parse_step_word, print_step, print_step_word
 
 from fixtures import a_loop, random_chaining_word, random_ipomset, random_step_word
 from oracles import (compose_oracle, glue_oracle, parse_step_word_oracle,
-                     sparse_decomposition_oracle)
+                     sparse_decomposition_oracle, step_word_oracle)
 
 FIELDS = ("labels", "precedence", "event_order", "source", "target")
 
@@ -104,6 +104,19 @@ def test_broken_words_fail_at_the_same_position():
         with pytest.raises(InterfaceMismatch) as want:
             compose_oracle(bad)
         assert got.value.position == want.value.position == i
+        assert str(got.value) == str(want.value)
+
+
+def test_step_words_fail_where_the_plain_loop_does():
+    rng = random.Random(2401)
+    for p, word in sample_words(500, seed=2402):
+        assert StepWord(word).steps == step_word_oracle(word)
+        bad, i = _broken(word, rng)
+        with pytest.raises(InterfaceMismatch) as got:
+            StepWord(bad)
+        with pytest.raises(InterfaceMismatch) as want:
+            step_word_oracle(bad)
+        assert got.value.position == want.value.position == i - 1
         assert str(got.value) == str(want.value)
 
 
@@ -340,6 +353,47 @@ def test_fields_read_in_any_first_order_match_the_left_fold():
         for field in next(orders):
             assert getattr(got, field) == getattr(want, field), (word, field)
         assert got.key() == want.key() and got.width() == want.width()
+
+
+@pytest.fixture
+def merges(monkeypatch):
+    """The step sequences ``compose`` merges through ``_merge_word``."""
+    calls = []
+    merge = hdalang.ipomset._merge_word
+
+    def counting(steps):
+        calls.append(steps)
+        return merge(steps)
+
+    monkeypatch.setattr(hdalang.ipomset, "_merge_word", counting)
+    return calls
+
+
+@pytest.mark.parametrize("text", ["[]", "[a b]", "[a+ b]", "[a+][a-]" * 40,
+                                  "[a+ b+][a- b-]", "[a+ b][a- b]"])
+def test_a_parsed_sparse_word_is_its_own_decomposition(merges, text):
+    word = parse_step_word(text)
+    assert sparse_decomposition(compose(word)) is word
+    assert merges == []
+
+
+def test_words_with_identities_or_repeated_kinds_are_merged(merges):
+    rng = random.Random(16)
+    counts = {True: 0, False: 0}
+    for _ in range(1200):  # the words of the field-order test above
+        word = random_chaining_word(rng)
+        kinds = [s.kind for s in word]
+        sparse = "identity" not in kinds and all(
+            a != b for a, b in zip(kinds, kinds[1:]))
+        counts[sparse] += 1
+        merges.clear()
+        got, want = compose(StepWord(word)), compose_oracle(word)
+        assert StepWord(word).is_sparse() == sparse
+        assert len(merges) == (0 if sparse else 1)
+        for field in FIELDS:
+            assert getattr(got, field) == getattr(want, field), (word, field)
+        assert got.key() == want.key()
+    assert min(counts.values()) > 50
 
 
 def test_composed_events_are_numbered_along_the_given_steps():

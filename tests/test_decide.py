@@ -10,6 +10,7 @@ from hdalang import (HDA, Cell, Step, WidthExceeded, accepts,
                      language_ipomsets, match_automaton, member,
                      parse_ipomset, pre_set, prefix_quotient, st_of_hda,
                      subsumes, supersumptions, word_ipomset)
+from hdalang import enumerate_ipomsets, skeleton
 from hdalang.text import print_ipomset
 
 from fixtures import (a_loop, ab_c_rectangle, branching_square, cube,
@@ -177,6 +178,26 @@ def test_width_bounds_are_checked(k, error, message):
              lambda: complement_words(st_of_hda(x), k),
              lambda: complement_empty(x, k),
              lambda: complement_member(x, k, p)]
+    for call in calls:
+        with pytest.raises(error, match=message) as caught:
+            call()
+        assert not isinstance(caught.value, WidthExceeded)
+
+
+@pytest.mark.parametrize("k, error, message", [
+    (-1, ValueError, "must be non-negative, got -1"),
+    (True, TypeError, "must be an int, not bool"),
+    (1.0, TypeError, "must be an int, not float"),
+    (1.5, TypeError, "must be an int, not float"),
+    ("2", TypeError, "must be an int, not str")])
+def test_every_width_or_size_bound_is_checked_alike(k, error, message):
+    x = filled_square()
+    p = word_ipomset("a")
+    # generators: made without a check, checked when first advanced
+    sized = enumerate_ipomsets("ab", k)
+    narrow = enumerate_ipomsets("ab", 2, max_width=k)
+    calls = [lambda: skeleton(x, k), lambda: supersumptions(p, k),
+             lambda: next(sized), lambda: next(narrow)]
     for call in calls:
         with pytest.raises(error, match=message) as caught:
             call()

@@ -16,7 +16,7 @@ from hdalang import (HDA, Cell, Ipomset, Step, accepts_word, analyze, build,
                      is_deterministic_hda, is_deterministic_language, member,
                      parse_ipomset, pre_set, prefix_quotient, skeleton,
                      st_of_hda, stauto, word_ipomset)
-from hdalang.hda import _segment_relation
+from hdalang.hda import _segment_relation, accepts
 from hdalang.text import print_ipomset
 
 from fixtures import (a_loop, ab_c_rectangle, branching_square, cube,
@@ -28,6 +28,7 @@ from oracles import (accepts_word_oracle, complement_empty_oracle,
                      complement_member_oracle, complement_words_oracle,
                      count_sparse_accepting_paths_oracle,
                      enumerate_wang_oracle, is_deterministic_language_oracle,
+                     member_oracle,
                      pairs_oracle, pre_set_oracle, segment_relation_oracle,
                      st_of_hda_oracle)
 
@@ -489,6 +490,32 @@ def test_one_state_sets_step_through_their_rows(posts):
     assert not equivalent(skeleton(x, 4), x)[0]
     assert complement_words(st_of_hda(cube(4)), 4).final
     assert posts == []
+
+
+def test_member_steps_one_state_sets_through_their_rows(posts):
+    # the words the cube benchmark asks: every letter in parallel, one
+    # letter after another, two other orderings, and a repeated letter
+    x = cube(5)
+    letters = [f"a{i}" for i in range(5)]
+    rng = random.Random(2403)
+    orders = [letters] + [rng.sample(letters, 5) for _ in range(2)]
+    texts = ["[" + " ".join(f"{c}+" for c in letters) + "]["
+             + " ".join(f"{c}-" for c in letters) + "]"]
+    texts += ["".join(f"[{c}+][{c}-]" for c in order) for order in orders]
+    assert all(member(x, parse_ipomset(text)) for text in texts)
+    assert not member(x, parse_ipomset("[a0+][a0-][a0+][a0-]"))
+    assert posts == []
+    larger = 0
+    for y in SWEEP:
+        a = st_of_hda(y)
+        words = sorted(enumerate_wang(a, 5), key=lambda w: [s.key() for s in w])
+        asked = probes(y, rng) + [stauto.word_ipomset_of(w) for w in words[:4]]
+        posts.clear()  # enumerate_wang steps every set through _post
+        for p in asked:
+            assert member(y, p) == member_oracle(a, p) == accepts(y, p)
+        assert all(len(states) != 1 for states in posts)
+        larger += sum(len(states) > 1 for states in posts)
+    assert larger
 
 
 def test_larger_sets_step_through_post(posts):
